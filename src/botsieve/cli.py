@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -75,6 +76,67 @@ def _summary(command: str, outputs: dict[str, Path], metrics: dict) -> dict:
     }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Row builders shared by the single-stage subcommands and `report`, which
+# prefixes its edge_kind/group column onto the same rows.
+
+DEGREE_COLUMNS = ("direction", "degree", "count")
+PAIR_COLUMNS = ("source_group", "target_group", "pairs_with_edge", "rate")
+TERNARY_COLUMNS = ("i", "j", "k", "count")
+CATEGORY_COLUMNS = ("category", "count", "percentage")
+SWEEP_COLUMNS = ("threshold", "precision", "recall", "f1")
+
+
+def _profile_obj(corpus: Corpus, members) -> dict:
+    p = contentstats.profile_summary(corpus, members)
+    return {
+        "n_accounts": p.n_accounts,
+        "follower_mean": p.follower_mean, "follower_sd": p.follower_sd,
+        "following_mean": p.following_mean, "following_sd": p.following_sd,
+        "tweet_count_mean": p.tweet_count_mean, "tweet_count_sd": p.tweet_count_sd,
+        "creation_years": {str(y): c for y, c in p.creation_years.items()},
+    }
+
+
+def _degree_rows(summary: graphlab.DegreeSummary) -> list[tuple]:
+    return ([("in", d, c) for d, c in summary.in_histogram.items()]
+            + [("out", d, c) for d, c in summary.out_histogram.items()])
+
+
+def _pair_rows(graph, partition: GroupPartition) -> list[tuple]:
+    matrix = graphlab.pair_rate_matrix(graph, partition)
+    return [(src, dst, int(matrix.counts[i, j]), float(matrix.rates[i, j]))
+            for i, src in enumerate(matrix.groups) for j, dst in enumerate(matrix.groups)]
+
+
+def _ternary_rows(points, resolution: int) -> list[tuple]:
+    grid = contentstats.ternary_bin(points.values(), resolution)
+    return [(i, j, k, c) for (i, j, k), c in grid.bins.items()]
+
+
+def _rank_rows(ranking) -> list[tuple]:
+    return [(r + 1, key, c) for r, (key, c) in enumerate(ranking)]
+
+
+def _category_rows(corpus: Corpus, hits, ruleset=seedscan.DEFAULT_RULESET) -> list[tuple]:
+    return [(row.category.value, row.count, row.percentage)
+            for row in seedscan.category_summary(hits.keys(), corpus, ruleset)]
+
+
+def _sweep_rows(outcome: detectkit.SweepOutcome) -> list[tuple]:
+    return [(r.threshold, r.precision, r.recall, r.f1) for r in outcome.curve]
+
+
 # ---------------------------------------------------------------------------
 # Shared argument plumbing
 
@@ -87,7 +149,7 @@ def _add_corpus_args(parser):
     parser.add_argument("--labels", help="labels.csv path")
     parser.add_argument("--aliases", help="JSON file mapping canonical field names "
                         "to the names used in the input files")
-    parser.add_argument("--tweet-cap", type=int, default=None,
+    parser.add_argument("--tweet-cap", type=_positive_int, default=None,
                         help="keep only each account's N most recent tweets")
 
 
@@ -137,8 +199,6 @@ def _load_corpus_from_args(args) -> Corpus:
     corpus = load_corpus(account_path, tweet_path, edge_path, label_path,
                          field_aliases=aliases)
     if args.tweet_cap is not None:
-        if args.tweet_cap < 1:
-            raise UsageError("--tweet-cap must be >= 1")
         corpus = cap_tweets(corpus, args.tweet_cap)
     return corpus
 
@@ -152,6 +212,9 @@ def _group_members(corpus: Corpus, name: str | None):
 
 
 def _read_scores_csv(path: Path) -> list[tuple[float, str]]:
+    """Rows of a value,label CSV; a non-finite value or a label other than
+    bot/human is a data error at its line."""
+    labels = (detectkit.BOT_LABEL, detectkit.HUMAN_LABEL)
     scores = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -159,23 +222,26 @@ def _read_scores_csv(path: Path) -> list[tuple[float, str]]:
             raise DataError(f"{path}: header must contain value,label")
         for lineno, row in enumerate(reader, start=2):
             try:
-                scores.append((float(row["value"]), row["label"].strip()))
+                value = float(row["value"])
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: bad score row ({exc})") from exc
+            label = (row["label"] or "").strip()
+            if not math.isfinite(value) or label not in labels:
+                raise DataError(f"{path}:{lineno}: need a finite value and a label in "
+                                f"{labels}, got {row['value']!r},{label!r}")
+            scores.append((value, label))
     return scores
 
 
 def _make_detector(args) -> detectkit.TextDetector:
-    scale = (detectkit.PROBABILITY_SCALE if getattr(args, "scale", "openai") == "probability"
+    scale = (detectkit.PROBABILITY_SCALE if args.scale == "probability"
              else detectkit.OPENAI_STYLE_SCALE)
-    if args.detector == "heuristic":
-        return detectkit.HeuristicDetector()
     if args.detector == "stub":
         return detectkit.StubDetector(key=args.stub_key, score_scale=scale)
     if args.detector == "replay":
         path = _require(args.replay_file, "--replay-file")
         return detectkit.ReplayDetector.from_file(path, score_scale=scale)
-    raise UsageError(f"unknown detector {args.detector!r}")
+    return detectkit.HeuristicDetector()
 
 
 def _qualification_rules(args) -> detectkit.QualificationRules:
@@ -197,8 +263,6 @@ def _add_detector_args(parser):
     parser.add_argument("--any-language", action="store_true")
     parser.add_argument("--keep-handles", action="store_true")
     parser.add_argument("--keep-links", action="store_true")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker bound for detector scoring")
 
 
 # ---------------------------------------------------------------------------
@@ -247,30 +311,25 @@ def _cmd_scan_phrases(args):
     hits = seedscan.find_phrase_tweets(corpus, query)
     out = _out_dir(args)
     hit_rows = [(tid, corpus.tweets[tid].author_id, phrase) for tid, phrase in hits.items()]
-    categories = {
-        tid: seedscan.categorize_self_revealing(corpus.tweets[tid].text, ruleset)
-        for tid in hits
-    }
-    summary_rows = seedscan.category_summary(hits.keys(), corpus, ruleset)
+    category_rows = _category_rows(corpus, hits, ruleset)
     outputs = {
         "hits": _write_csv(out / "hits.csv", ("tweet_id", "account_id", "phrase"), hit_rows),
-        "categories": _write_csv(out / "categories.csv", ("tweet_id", "category"),
-                                 [(tid, cat.value) for tid, cat in categories.items()]),
-        "category_summary": _write_csv(
-            out / "category_summary.csv", ("category", "count", "percentage"),
-            [(row.category.value, row.count, row.percentage) for row in summary_rows]),
+        "categories": _write_csv(
+            out / "categories.csv", ("tweet_id", "category"),
+            [(tid, seedscan.categorize_self_revealing(corpus.tweets[tid].text, ruleset).value)
+             for tid in hits]),
+        "category_summary": _write_csv(out / "category_summary.csv", CATEGORY_COLUMNS,
+                                       category_rows),
     }
     metrics = {
         "n_hits": len(hits),
-        "n_accounts": len({corpus.tweets[tid].author_id for tid in hits}),
-        "categories": {row.category.value: row.count for row in summary_rows},
+        "n_accounts": len({author for _, author, _ in hit_rows}),
+        "categories": {category: count for category, count, _ in category_rows},
     }
     return _summary("scan-phrases", outputs, metrics)
 
 
 def _cmd_expand_domains(args):
-    if args.top < 1:
-        raise UsageError("--top must be >= 1")
     corpus = _load_corpus_from_args(args)
     seeds = linkmap.load_seed_domains(_require(args.seeds, "--seeds")) \
         if args.seeds else linkmap.DEFAULT_SEED_DOMAINS
@@ -296,36 +355,23 @@ def _cmd_expand_domains(args):
 
 def _cmd_graph_stats(args):
     corpus = _load_corpus_from_args(args)
-    restriction = None
-    if args.group is not None:
-        restriction = _group_members(corpus, args.group)
+    restriction = _group_members(corpus, args.group) if args.group is not None else None
     graph = graphlab.build_graph(corpus, args.kind, node_restriction=restriction)
     summary = graphlab.degree_stats(graph)
-    wcc = graphlab.largest_wcc(graph)
-    out = _out_dir(args)
-    hist_rows = ([("in", d, c) for d, c in summary.in_histogram.items()]
-                 + [("out", d, c) for d, c in summary.out_histogram.items()])
-    outputs = {
-        "edges": _write_csv(out / f"{args.kind}_edges.csv", ("source", "target", "weight"),
-                            sorted((s, t, w) for (s, t), w in graph.edges.items())),
-        "degree_histogram": _write_csv(out / f"{args.kind}_degree_histogram.csv",
-                                       ("direction", "degree", "count"), hist_rows),
-        "degree_summary": _write_json(out / f"{args.kind}_degree_summary.json", {
-            "edge_kind": args.kind,
-            "n_nodes": graph.n_nodes,
-            "n_edges": graph.n_edges,
-            "mean_in": summary.mean_in,
-            "sd_in": summary.sd_in,
-            "mean_out": summary.mean_out,
-            "sd_out": summary.sd_out,
-            "largest_wcc_size": len(wcc),
-        }),
-    }
     metrics = {
         "mean_in": summary.mean_in, "sd_in": summary.sd_in,
         "mean_out": summary.mean_out, "sd_out": summary.sd_out,
         "n_nodes": graph.n_nodes, "n_edges": graph.n_edges,
-        "largest_wcc_size": len(wcc),
+        "largest_wcc_size": len(graphlab.largest_wcc(graph)),
+    }
+    out = _out_dir(args)
+    outputs = {
+        "edges": _write_csv(out / f"{args.kind}_edges.csv", ("source", "target", "weight"),
+                            sorted((s, t, w) for (s, t), w in graph.edges.items())),
+        "degree_histogram": _write_csv(out / f"{args.kind}_degree_histogram.csv",
+                                       DEGREE_COLUMNS, _degree_rows(summary)),
+        "degree_summary": _write_json(out / f"{args.kind}_degree_summary.json",
+                                      {"edge_kind": args.kind, **metrics}),
     }
     if args.pair_groups:
         names = [n.strip() for n in args.pair_groups.split(",") if n.strip()]
@@ -333,29 +379,18 @@ def _cmd_graph_stats(args):
             sub = GroupPartition({n: corpus.partition[n] for n in names})
         except KeyError as exc:
             raise DataError(f"missing artifact: group {exc.args[0]!r} not in labels") from exc
-        matrix = graphlab.pair_rate_matrix(graph, sub)
-        rows = [
-            (matrix.groups[i], matrix.groups[j],
-             int(matrix.counts[i, j]), float(matrix.rates[i, j]))
-            for i in range(len(matrix.groups)) for j in range(len(matrix.groups))
-        ]
-        outputs["pair_rates"] = _write_csv(
-            out / f"{args.kind}_pair_rates.csv",
-            ("source_group", "target_group", "pairs_with_edge", "rate"), rows)
-        metrics["pair_rates"] = {
-            f"{src}->{dst}": float(matrix.rate(src, dst))
-            for src in matrix.groups for dst in matrix.groups
-        }
+        rows = _pair_rows(graph, sub)
+        outputs["pair_rates"] = _write_csv(out / f"{args.kind}_pair_rates.csv",
+                                           PAIR_COLUMNS, rows)
+        metrics["pair_rates"] = {f"{src}->{dst}": rate for src, dst, _, rate in rows}
     return _summary("graph-stats", outputs, metrics)
 
 
 def _cmd_content_stats(args):
-    if args.resolution < 1 or args.top < 1:
-        raise UsageError("--resolution and --top must be >= 1")
     corpus = _load_corpus_from_args(args)
     group = _group_members(corpus, args.group)
     points = contentstats.group_mix_points(corpus, group)
-    grid = contentstats.ternary_bin(points.values(), args.resolution)
+    ternary_rows = _ternary_rows(points, args.resolution)
     hashtags = contentstats.hashtag_ranking(corpus, group, args.top)
     amplified = contentstats.amplified_accounts(corpus, group, args.top)
     out = _out_dir(args)
@@ -365,41 +400,27 @@ def _cmd_content_stats(args):
             ("account_id", "pct_original", "pct_reply", "pct_retweet_quote"),
             [(a, p.pct_original, p.pct_reply, p.pct_retweet_quote)
              for a, p in points.items()]),
-        "ternary_bins": _write_csv(out / "ternary_bins.csv", ("i", "j", "k", "count"),
-                                   [(i, j, k, c) for (i, j, k), c in grid.bins.items()]),
+        "ternary_bins": _write_csv(out / "ternary_bins.csv", TERNARY_COLUMNS, ternary_rows),
         "hashtags": _write_csv(out / "hashtags.csv", ("rank", "hashtag", "count"),
-                               [(r + 1, tag, c) for r, (tag, c) in enumerate(hashtags)]),
+                               _rank_rows(hashtags)),
         "amplified": _write_csv(out / "amplified.csv", ("rank", "account_id", "count"),
-                                [(r + 1, a, c) for r, (a, c) in enumerate(amplified)]),
+                                _rank_rows(amplified)),
     }
     metrics = {"n_accounts_with_tweets": len(points), "resolution": args.resolution}
     if group:
-        profile = contentstats.profile_summary(corpus, group)
-        outputs["profile_summary"] = _write_json(out / "profile_summary.json", {
-            "n_accounts": profile.n_accounts,
-            "follower_mean": profile.follower_mean,
-            "follower_sd": profile.follower_sd,
-            "following_mean": profile.following_mean,
-            "following_sd": profile.following_sd,
-            "tweet_count_mean": profile.tweet_count_mean,
-            "tweet_count_sd": profile.tweet_count_sd,
-            "creation_years": {str(y): c for y, c in profile.creation_years.items()},
-        })
-        metrics["follower_mean"] = profile.follower_mean
+        profile = _profile_obj(corpus, group)
+        outputs["profile_summary"] = _write_json(out / "profile_summary.json", profile)
+        metrics["follower_mean"] = profile["follower_mean"]
     return _summary("content-stats", outputs, metrics)
 
 
 def _cmd_score(args):
-    if args.min_qualified < 1 or args.threads < 1:
-        raise UsageError("--min-qualified and --threads must be >= 1")
     corpus = _load_corpus_from_args(args)
     detector = _make_detector(args)
     rules = _qualification_rules(args)
     group = _group_members(corpus, args.group) if args.group else None
-    scores, unscored = detectkit.score_corpus(corpus, detector, rules, group=group,
-                                              max_workers=args.threads)
-    kept = detectkit.filter_min_qualified(scores.values(), args.min_qualified) \
-        if args.min_qualified > 1 else list(scores.values())
+    scores, unscored = detectkit.score_corpus(corpus, detector, rules, group=group)
+    kept = detectkit.filter_min_qualified(scores.values(), args.min_qualified)
     out = _out_dir(args)
     outputs = {
         "account_scores": _write_csv(
@@ -427,10 +448,9 @@ def _cmd_sweep(args):
         "f1": outcome.best.f1,
         "precision": outcome.best.precision,
         "recall": outcome.best.recall,
+        "welch": None,
     }
-    bots = [v for v, label in scores if label == detectkit.BOT_LABEL]
-    humans = [v for v, label in scores if label == detectkit.HUMAN_LABEL]
-    summary_obj["welch"] = None
+    bots, humans = detectkit.split_labeled(scores)
     if len(bots) >= 2 and len(humans) >= 2:
         try:
             welch = detectkit.welch_t(bots, humans)
@@ -438,18 +458,14 @@ def _cmd_sweep(args):
         except ValueError:
             pass
     outputs = {
-        "sweep_curve": _write_csv(
-            out / "sweep_curve.csv", ("threshold", "precision", "recall", "f1"),
-            [(r.threshold, r.precision, r.recall, r.f1) for r in outcome.curve]),
+        "sweep_curve": _write_csv(out / "sweep_curve.csv", SWEEP_COLUMNS, _sweep_rows(outcome)),
         "summary": _write_json(out / "summary.json", summary_obj),
     }
-    return _summary("sweep", outputs, dict(summary_obj))
+    return _summary("sweep", outputs, summary_obj)
 
 
 def _cmd_ttest(args):
-    scores = _read_scores_csv(_require(args.scores, "--scores"))
-    bots = [v for v, label in scores if label == detectkit.BOT_LABEL]
-    humans = [v for v, label in scores if label == detectkit.HUMAN_LABEL]
+    bots, humans = detectkit.split_labeled(_read_scores_csv(_require(args.scores, "--scores")))
     try:
         result = detectkit.welch_t(bots, humans)
     except ValueError as exc:
@@ -506,8 +522,6 @@ def _read_params_file(path: Path) -> tuple[dict, dict]:
 
 
 def _cmd_synth(args):
-    if args.preset not in synthnet.PRESETS:
-        raise UsageError(f"unknown preset {args.preset!r}")
     bot_kwargs: dict = {}
     human_kwargs: dict = {}
     if args.params:
@@ -536,97 +550,66 @@ def _cmd_synth(args):
         "n_tweets": corpus.n_tweets,
         "n_follow_edges": len(corpus.follow_edges),
     }
-    return _summary("synth", {k: v for k, v in paths.items()}, metrics)
+    return _summary("synth", paths, metrics)
 
 
 def _cmd_report(args):
-    if args.resolution < 1 or args.top < 1 or args.threads < 1:
-        raise UsageError("--resolution, --top, and --threads must be >= 1")
     corpus = _load_corpus_from_args(args)
     out = _out_dir(args)
-    bot_group = sorted(corpus.partition[args.bot_group]) \
-        if args.bot_group in corpus.partition else []
-    human_group = sorted(corpus.partition[args.human_group]) \
-        if args.human_group in corpus.partition else []
+    bot_group = sorted(corpus.partition.groups.get(args.bot_group, ()))
+    human_group = sorted(corpus.partition.groups.get(args.human_group, ()))
+    named_groups = ((args.bot_group, bot_group), (args.human_group, human_group))
     outputs: dict[str, Path] = {}
     metrics: dict = {"bot_group_size": len(bot_group), "human_group_size": len(human_group)}
 
-    profiles = {}
-    for name, members in ((args.bot_group, bot_group), (args.human_group, human_group)):
-        if members:
-            p = contentstats.profile_summary(corpus, members)
-            profiles[name] = {
-                "n_accounts": p.n_accounts,
-                "follower_mean": p.follower_mean, "follower_sd": p.follower_sd,
-                "following_mean": p.following_mean, "following_sd": p.following_sd,
-                "tweet_count_mean": p.tweet_count_mean, "tweet_count_sd": p.tweet_count_sd,
-                "creation_years": {str(y): c for y, c in p.creation_years.items()},
-            }
-        else:
-            profiles[name] = None
-    outputs["fig1_profiles"] = _write_json(out / "fig1_profiles.json", profiles)
+    outputs["fig1_profiles"] = _write_json(out / "fig1_profiles.json", {
+        name: _profile_obj(corpus, members) if members else None
+        for name, members in named_groups})
 
     degree_rows = []
-    for kind in graphlab.EDGE_KINDS:
-        if not bot_group:
-            continue
+    for kind in graphlab.EDGE_KINDS if bot_group else ():
         graph = graphlab.build_graph(corpus, kind, node_restriction=bot_group)
         summary = graphlab.degree_stats(graph)
-        degree_rows += [(kind, "in", d, c) for d, c in summary.in_histogram.items()]
-        degree_rows += [(kind, "out", d, c) for d, c in summary.out_histogram.items()]
+        degree_rows += [(kind, *row) for row in _degree_rows(summary)]
         metrics[f"{kind}_mean_in"] = summary.mean_in
         metrics[f"{kind}_largest_wcc"] = len(graphlab.largest_wcc(graph))
     outputs["fig2_degrees"] = _write_csv(
-        out / "fig2_degrees.csv", ("edge_kind", "direction", "degree", "count"), degree_rows)
+        out / "fig2_degrees.csv", ("edge_kind", *DEGREE_COLUMNS), degree_rows)
 
     pair_rows = []
-    usable = {name: corpus.partition[name] for name in corpus.partition.names
-              if len(corpus.partition[name]) >= 2}
-    if usable:
-        sub = GroupPartition(usable)
-        for kind in ("reply", "retweet"):
-            graph = graphlab.build_graph(corpus, kind)
-            matrix = graphlab.pair_rate_matrix(graph, sub)
-            for i, src in enumerate(matrix.groups):
-                for j, dst in enumerate(matrix.groups):
-                    pair_rows.append((kind, src, dst, int(matrix.counts[i, j]),
-                                      float(matrix.rates[i, j])))
+    usable = GroupPartition({name: corpus.partition[name] for name in corpus.partition.names
+                             if len(corpus.partition[name]) >= 2})
+    for kind in ("reply", "retweet") if usable.groups else ():
+        graph = graphlab.build_graph(corpus, kind)
+        pair_rows += [(kind, *row) for row in _pair_rows(graph, usable)]
     outputs["fig2_pairrates"] = _write_csv(
-        out / "fig2_pairrates.csv",
-        ("edge_kind", "source_group", "target_group", "pairs_with_edge", "rate"), pair_rows)
+        out / "fig2_pairrates.csv", ("edge_kind", *PAIR_COLUMNS), pair_rows)
 
     ternary_rows = []
-    for name, members in ((args.bot_group, bot_group), (args.human_group, human_group)):
-        if not members:
-            continue
-        points = contentstats.group_mix_points(corpus, members)
-        grid = contentstats.ternary_bin(points.values(), args.resolution)
-        ternary_rows += [(name, i, j, k, c) for (i, j, k), c in grid.bins.items()]
+    for name, members in named_groups:
+        if members:
+            points = contentstats.group_mix_points(corpus, members)
+            ternary_rows += [(name, *row) for row in _ternary_rows(points, args.resolution)]
     outputs["fig3_ternary"] = _write_csv(
-        out / "fig3_ternary.csv", ("group", "i", "j", "k", "count"), ternary_rows)
+        out / "fig3_ternary.csv", ("group", *TERNARY_COLUMNS), ternary_rows)
 
     hashtags = contentstats.hashtag_ranking(corpus, bot_group, args.top) if bot_group else []
     outputs["fig4_hashtags"] = _write_csv(
-        out / "fig4_hashtags.csv", ("rank", "hashtag", "count"),
-        [(r + 1, tag, c) for r, (tag, c) in enumerate(hashtags)])
+        out / "fig4_hashtags.csv", ("rank", "hashtag", "count"), _rank_rows(hashtags))
     amplified = contentstats.amplified_accounts(corpus, bot_group, args.top) if bot_group else []
     outputs["fig4_amplified"] = _write_csv(
-        out / "fig4_amplified.csv", ("rank", "account_id", "count"),
-        [(r + 1, a, c) for r, (a, c) in enumerate(amplified)])
+        out / "fig4_amplified.csv", ("rank", "account_id", "count"), _rank_rows(amplified))
 
     domains = linkmap.domain_frequency(corpus, bot_group, args.top) if bot_group else []
     outputs["fig5_domains"] = _write_csv(
-        out / "fig5_domains.csv", ("rank", "domain", "count"),
-        [(r + 1, d, c) for r, (d, c) in enumerate(domains)])
+        out / "fig5_domains.csv", ("rank", "domain", "count"), _rank_rows(domains))
     if bot_group:
         share = linkmap.domain_share_profiles(corpus, bot_group, linkmap.DEFAULT_SEED_DOMAINS)
         metrics["seed_domain_share_mean"] = share.mean_share_probability
 
     hits = seedscan.find_phrase_tweets(corpus)
-    category_rows = seedscan.category_summary(hits.keys(), corpus)
     outputs["table1_categories"] = _write_csv(
-        out / "table1_categories.csv", ("category", "count", "percentage"),
-        [(row.category.value, row.count, row.percentage) for row in category_rows])
+        out / "table1_categories.csv", CATEGORY_COLUMNS, _category_rows(corpus, hits))
     metrics["n_self_revealing"] = len(hits)
 
     recall_obj = {"threshold": args.recall_threshold, "recall": None,
@@ -637,8 +620,7 @@ def _cmd_report(args):
             recall_obj["recall"] = detectkit.recall_at(recall_scores, args.recall_threshold)
         except ValueError as exc:
             raise DataError(str(exc)) from exc
-        recall_obj["n_bot_scores"] = sum(
-            1 for _, label in recall_scores if label == detectkit.BOT_LABEL)
+        recall_obj["n_bot_scores"] = len(detectkit.split_labeled(recall_scores)[0])
         recall_obj["scores_file"] = str(args.recall_scores)
     outputs["fig6_recall"] = _write_json(out / "fig6_recall.json", recall_obj)
 
@@ -646,20 +628,17 @@ def _cmd_report(args):
     if bot_group and human_group:
         detector = _make_detector(args)
         rules = _qualification_rules(args)
-        labeled = []
+        labeled = {}
         for members, label in ((bot_group, detectkit.BOT_LABEL),
                                (human_group, detectkit.HUMAN_LABEL)):
-            scores, _ = detectkit.score_corpus(corpus, detector, rules, group=members,
-                                               max_workers=args.threads)
-            labeled += [(s.mean_score, label) for s in scores.values()]
-        if any(l == detectkit.BOT_LABEL for _, l in labeled) and \
-           any(l == detectkit.HUMAN_LABEL for _, l in labeled):
-            outcome = detectkit.sweep_threshold(labeled)
-            sweep_rows = [(r.threshold, r.precision, r.recall, r.f1) for r in outcome.curve]
+            scores, _ = detectkit.score_corpus(corpus, detector, rules, group=members)
+            labeled[label] = [(s.mean_score, label) for s in scores.values()]
+        if all(labeled.values()):
+            outcome = detectkit.sweep_threshold([row for rows in labeled.values() for row in rows])
+            sweep_rows = _sweep_rows(outcome)
             metrics["best_threshold"] = outcome.best.threshold
             metrics["best_f1"] = outcome.best.f1
-    outputs["fig8_sweep"] = _write_csv(
-        out / "fig8_sweep.csv", ("threshold", "precision", "recall", "f1"), sweep_rows)
+    outputs["fig8_sweep"] = _write_csv(out / "fig8_sweep.csv", SWEEP_COLUMNS, sweep_rows)
 
     return _summary("report", outputs, metrics)
 
@@ -692,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     _add_out_arg(p)
     p.add_argument("--seeds", help="seeds.txt (one domain per line)")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_positive_int, default=10,
                    help="domains to keep in domain_freq.csv")
     p.set_defaults(handler=_cmd_expand_domains)
 
@@ -708,15 +687,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(p)
     _add_out_arg(p)
     p.add_argument("--group", help="labeled group (default: every account)")
-    p.add_argument("--resolution", type=int, default=20)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--resolution", type=_positive_int, default=20)
+    p.add_argument("--top", type=_positive_int, default=10)
     p.set_defaults(handler=_cmd_content_stats)
 
     p = sub.add_parser("score", help="run a text detector over accounts")
     _add_corpus_args(p)
     _add_out_arg(p)
     p.add_argument("--group", help="labeled group (default: every account)")
-    p.add_argument("--min-qualified", type=int, default=1)
+    p.add_argument("--min-qualified", type=_positive_int, default=1)
     _add_detector_args(p)
     p.set_defaults(handler=_cmd_score)
 
@@ -732,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")
     _add_out_arg(p)
-    p.add_argument("--preset", default="fox8", help="generator preset name")
+    p.add_argument("--preset", choices=("fox8",), default="fox8")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n-bots", type=int, default=None)
     p.add_argument("--n-humans", type=int, default=None)
@@ -745,8 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_arg(p)
     p.add_argument("--bot-group", default="bot")
     p.add_argument("--human-group", default="human")
-    p.add_argument("--resolution", type=int, default=20)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--resolution", type=_positive_int, default=20)
+    p.add_argument("--top", type=_positive_int, default=10)
     p.add_argument("--recall-scores", help="CSV with value,label for the recall harness")
     p.add_argument("--recall-threshold", type=float, default=2.5)
     _add_detector_args(p)

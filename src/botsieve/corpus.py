@@ -295,14 +295,19 @@ def _parse_tweet(obj, aliases) -> Tweet:
 
 
 def _iter_jsonl(path: Path):
-    """Yield (line_number, decoded_object_or_None); None marks an undecodable line."""
+    """Yield (line_number, decoded_object_or_None); None marks a line that is
+    not UTF-8 or not a JSON object."""
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "rb")
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
     with handle:
         for lineno, raw in enumerate(handle, start=1):
-            stripped = raw.strip()
+            try:
+                stripped = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                yield lineno, None
+                continue
             if not stripped:
                 continue
             try:
@@ -570,19 +575,19 @@ def merge_corpora(*parts: Corpus) -> Corpus:
 
 
 def cap_tweets(corpus: Corpus, max_per_account: int) -> Corpus:
-    """Keep only each author's ``max_per_account`` most recent tweets."""
+    """Keep only each author's ``max_per_account`` most recent tweets; the
+    load report and provenance carry over."""
     if max_per_account < 1:
         raise ValueError("max_per_account must be >= 1")
     keep: set[str] = set()
-    for author, tweet_ids in corpus.tweets_by_author.items():
-        recent = sorted(
-            tweet_ids, key=lambda tid: (corpus.tweets[tid].created_at, tid), reverse=True
-        )[:max_per_account]
-        keep.update(recent)
+    for tweet_ids in corpus.tweets_by_author.values():
+        # tweets_by_author is ordered by (created_at, tweet_id).
+        keep.update(tweet_ids[-max_per_account:])
     return make_corpus(
         list(corpus.accounts.values()),
         [corpus.tweets[tid] for tid in sorted(keep)],
         corpus.follow_edges,
         corpus.partition,
+        load_report=corpus.load_report,
         provenance=corpus.provenance,
     )

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -41,7 +41,6 @@ class QualificationRules:
     english_only: bool = True
     strip_reply_handles: bool = True
     strip_links: bool = True
-    min_chars_after_processing: int = 1
 
 
 def process_text(text: str, kind: str = "original",
@@ -75,7 +74,7 @@ def qualify_tweets(corpus: Corpus, account_id: str,
         if rules.english_only and not _is_english(tweet.language):
             continue
         processed = process_text(tweet.text, tweet.kind, rules)
-        if len(processed) >= rules.min_chars_after_processing:
+        if processed:
             texts.append(processed)
     return texts
 
@@ -97,6 +96,8 @@ class TextDetector:
 
     name: str = "detector"
     score_scale: tuple[float, float] = OPENAI_STYLE_SCALE
+    # Nothing in the package reads this; benchmarks/tracing.py copies it onto
+    # its counting wrapper, so it stays until that read goes.
     concurrency_safe: bool = True
 
     def score(self, text: str) -> float:
@@ -212,20 +213,11 @@ class AccountScore:
     per_tweet_scores: tuple[float, ...]
 
 
-def _score_texts(texts, detector: TextDetector, max_workers: int) -> list[float]:
-    if max_workers > 1 and detector.concurrency_safe and len(texts) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(detector.score, texts))
-    return [detector.score(text) for text in texts]
-
-
-def score_account(account_id: str, texts, detector: TextDetector,
-                  max_workers: int = 1) -> AccountScore | None:
+def score_account(account_id: str, texts, detector: TextDetector) -> AccountScore | None:
     """Average the detector over the account's texts; None when nothing qualifies."""
-    texts = list(texts)
-    if not texts:
+    scores = [detector.score(text) for text in texts]
+    if not scores:
         return None
-    scores = _score_texts(texts, detector, max_workers)
     return AccountScore(
         account_id=account_id,
         n_qualified=len(scores),
@@ -244,7 +236,7 @@ def concat_and_score(texts, detector: TextDetector, separator: str = "\n") -> fl
 
 def score_corpus(corpus: Corpus, detector: TextDetector,
                  rules: QualificationRules = QualificationRules(),
-                 group=None, max_workers: int = 1):
+                 group=None):
     """Score every account (or a group); returns (scores by id, n without any
     qualified tweet)."""
     account_ids = sorted(group) if group is not None else sorted(corpus.accounts)
@@ -253,8 +245,7 @@ def score_corpus(corpus: Corpus, detector: TextDetector,
     for account_id in account_ids:
         if account_id not in corpus.accounts:
             continue
-        result = score_account(
-            account_id, qualify_tweets(corpus, account_id, rules), detector, max_workers)
+        result = score_account(account_id, qualify_tweets(corpus, account_id, rules), detector)
         if result is None:
             unscored += 1
         else:
@@ -329,13 +320,18 @@ class SweepOutcome:
     curve: tuple[ThresholdResult, ...]
 
 
-def _split_labeled(scores):
+def split_labeled(scores) -> tuple[list[float], list[float]]:
+    """Split (value, label) pairs into bot and human values; a non-finite
+    value or any other label is a ValueError."""
     bots, humans = [], []
     for value, label in scores:
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite score: {value!r}")
         if label == BOT_LABEL:
-            bots.append(float(value))
+            bots.append(value)
         elif label == HUMAN_LABEL:
-            humans.append(float(value))
+            humans.append(value)
         else:
             raise ValueError(f"label must be '{BOT_LABEL}' or '{HUMAN_LABEL}', got {label!r}")
     return bots, humans
@@ -359,7 +355,7 @@ def sweep_threshold(scores) -> SweepOutcome:
     plus one sentinel below and above everything, which covers every
     achievable confusion matrix. Ties go to the smallest threshold.
     """
-    bots, humans = _split_labeled(scores)
+    bots, humans = split_labeled(scores)
     if not bots or not humans:
         raise ValueError("need both bot- and human-labeled scores")
     bot_values = np.array(bots)
@@ -379,7 +375,7 @@ def sweep_threshold(scores) -> SweepOutcome:
 
 def recall_at(scores, threshold: float) -> float:
     """Fraction of bot-labeled scores at or above the threshold."""
-    bots, _ = _split_labeled(scores)
+    bots, _ = split_labeled(scores)
     if not bots:
         raise ValueError("need at least one bot-labeled score")
     return sum(1 for v in bots if v >= threshold) / len(bots)

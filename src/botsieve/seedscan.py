@@ -21,9 +21,6 @@ _ZERO_WIDTH = dict.fromkeys(map(ord, "​‌‍⁠﻿"))
 
 DEFAULT_PHRASES = ("as an ai language model",)
 
-# Extra refusal boilerplate worth scanning for when hunting new botnets.
-ADDITIONAL_REFUSAL_PHRASES = ("i'm sorry, i cannot generate",)
-
 
 def normalize_text(text: str) -> str:
     """Canonical match form: NFKC, zero-width stripped, lowercased, spaces collapsed."""

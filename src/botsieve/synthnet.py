@@ -149,15 +149,9 @@ class BotnetParams:
 
 @dataclass(frozen=True)
 class HumanParams:
-    """Knobs for the organic comparison population.
-
-    The score mean/sd fields describe the simulated detector output profile
-    for humans; :func:`simulate_scores` carries the bot-side defaults.
-    """
+    """Knobs for the organic comparison population."""
 
     n_humans: int = 1140
-    score_mean: float = 48.6
-    score_sd: float = 9.7
     tweets_mean: float = 120.0
     tweets_sd: float = 90.0
     group_label: str = "human"
@@ -166,8 +160,6 @@ class HumanParams:
     def __post_init__(self):
         if self.n_humans < 0:
             raise ValueError("n_humans must be >= 0")
-        if self.score_sd <= 0:
-            raise ValueError("score_sd must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +453,3 @@ def fox8_preset(seed: int = 0, n_bots: int = 1140, n_humans: int = 1140) -> Corp
         return botnet
     humans = generate_humans(HumanParams(n_humans=n_humans, rng_seed=seed + 1))
     return merge_corpora(botnet, humans)
-
-
-PRESETS = {"fox8": fox8_preset}

@@ -1,4 +1,6 @@
+import csv
 import json
+import shutil
 from pathlib import Path
 
 import jsonschema
@@ -15,11 +17,15 @@ SCHEMA = json.loads(
 )
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run_json(capsys, argv):
     code = run(["--json"] + argv)
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    summary = json.loads(captured.out)
+    summary = json.loads(captured.out, parse_constant=_reject_constant)
     jsonschema.validate(summary, SCHEMA)
     return summary
 
@@ -241,6 +247,61 @@ def test_tweet_cap_flag(capsys, synth_dir, tmp_path):
     capped = run_json(capsys, ["ingest", "--corpus-dir", str(synth_dir),
                                "--tweet-cap", "5", "--out", str(tmp_path)])
     assert capped["metrics"]["n_tweets"] == expected < full.n_tweets
+
+
+def test_tweet_cap_keeps_load_report(capsys, synth_dir, tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus_dir)
+    with open(corpus_dir / "tweets.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    argv = ["ingest", "--corpus-dir", str(corpus_dir), "--out", str(tmp_path / "out")]
+    assert run_json(capsys, argv)["metrics"]["n_violations"] == 1
+    capped = run_json(capsys, argv + ["--tweet-cap", "5"])
+    assert capped["metrics"]["n_violations"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand-domains", "--top", "0"],
+    ["content-stats", "--resolution", "0"],
+    ["score", "--min-qualified", "0"],
+    ["ingest", "--tweet-cap", "0"],
+])
+def test_non_positive_counts_are_usage_errors_before_loading(capsys, tmp_path, argv):
+    missing = str(tmp_path / "no-such-corpus")
+    assert run(argv + ["--corpus-dir", missing, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("command,row", [("sweep", "nan,human"), ("sweep", "inf,bot"),
+                                         ("ttest", "50.0,hmn")])
+def test_bad_score_row_is_a_located_data_error(capsys, tmp_path, command, row):
+    scores = tmp_path / "scores.csv"
+    rows = [f"{50 + i},bot" for i in range(3)] + [f"{40 + i},human" for i in range(3)]
+    scores.write_text("value,label\n" + "\n".join(rows + [row]) + "\n")
+    assert run([command, "--scores", str(scores), "--out", str(tmp_path / "o")]) == 2
+    assert f"{scores}:8:" in capsys.readouterr().err
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_report_and_stage_subcommands_write_the_same_rows(capsys, synth_dir, tmp_path):
+    corpus = ["--corpus-dir", str(synth_dir)]
+    report, stage = tmp_path / "report", tmp_path / "stage"
+    run_json(capsys, ["report", *corpus, "--detector", "stub", "--out", str(report)])
+    run_json(capsys, ["content-stats", *corpus, "--group", "bot", "--out", str(stage)])
+    run_json(capsys, ["graph-stats", *corpus, "--kind", "follow", "--group", "bot",
+                      "--out", str(stage)])
+    profiles = json.loads((report / "fig1_profiles.json").read_text())
+    assert profiles["bot"] == json.loads((stage / "profile_summary.json").read_text())
+    assert (report / "fig4_hashtags.csv").read_bytes() == (stage / "hashtags.csv").read_bytes()
+    degrees = _csv_rows(report / "fig2_degrees.csv")
+    histogram = _csv_rows(stage / "follow_degree_histogram.csv")
+    assert degrees[0][1:] == histogram[0]
+    assert [row[1:] for row in degrees[1:] if row[0] == "follow"] == histogram[1:]
+    assert len(histogram) > 1
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -98,6 +98,18 @@ def test_undecodable_lines_tolerated_under_ten_percent(tmp_path):
     assert corpus.load_report.rules() == ["invalid-json"]
 
 
+def test_invalid_utf8_line_is_a_located_violation(tmp_path):
+    paths = write_corpus_files(tmp_path)
+    many = [{**TWEET_LINES[0], "tweet_id": f"x{i}"} for i in range(19)]
+    lines = [json.dumps(t).encode("utf-8") for t in many]
+    lines.insert(5, b'{"tweet_id": "bad\xff"}')
+    tweet_path = tmp_path / "one_bad_byte.jsonl"
+    tweet_path.write_bytes(b"\n".join(lines) + b"\n")
+    corpus = cp.load_corpus(paths["accounts"], tweet_path)
+    assert corpus.n_tweets == 19
+    assert [(v.rule, v.line) for v in corpus.load_report] == [("invalid-json", 6)]
+
+
 def test_duplicate_tweet_id_fatal(tmp_path):
     lines = TWEET_LINES + [dict(TWEET_LINES[0])]
     paths = write_corpus_files(tmp_path, tweets=lines)
@@ -245,6 +257,7 @@ def test_cap_tweets_keeps_most_recent():
     corpus = corpus_of([account("a1")], tweets)
     capped = cp.cap_tweets(corpus, 2)
     assert sorted(capped.tweets) == ["t4", "t5"]
+    assert capped.tweets_by_author["a1"] == ("t4", "t5")
     with pytest.raises(ValueError):
         cp.cap_tweets(corpus, 0)
 

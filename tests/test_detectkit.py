@@ -168,18 +168,6 @@ def test_concat_and_score_replay_fixture():
     assert dk.concat_and_score(["a", "b"], detector) == 77.0
 
 
-def test_score_corpus_threads_match_sequential():
-    corpus = corpus_of(
-        [account("A"), account("B")],
-        [tweet("t1", "A", text="alpha beta"), tweet("t2", "B", text="gamma delta"),
-         tweet("t3", "B", text="epsilon")],
-    )
-    detector = dk.StubDetector(key="t")
-    seq, _ = dk.score_corpus(corpus, detector, max_workers=1)
-    par, _ = dk.score_corpus(corpus, detector, max_workers=4)
-    assert seq == par
-
-
 def test_filter_min_qualified():
     scores = [
         dk.AccountScore("a", 1, 50.0, (50.0,)),
@@ -268,6 +256,15 @@ def test_sweep_requires_both_labels():
         dk.sweep_threshold([(1.0, "bot")])
     with pytest.raises(ValueError):
         dk.sweep_threshold([(1.0, "x")])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_sweep_and_recall_reject_non_finite_scores(bad):
+    scores = [(1.0, "bot"), (2.0, "bot"), (0.5, "human"), (bad, "human")]
+    with pytest.raises(ValueError, match="non-finite"):
+        dk.sweep_threshold(scores)
+    with pytest.raises(ValueError, match="non-finite"):
+        dk.recall_at(scores, 1.5)
 
 
 def brute_force_best_f1(scores):

@@ -51,8 +51,6 @@ def test_param_validation():
         sn.BotnetParams(seed_domain_share=1.5)
     with pytest.raises(ValueError):
         sn.BotnetParams(tweet_mix_means=(50.0, 30.0, 30.0))
-    with pytest.raises(ValueError):
-        sn.HumanParams(score_sd=0.0)
 
 
 def test_humans_have_no_in_group_interactions():
