@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 from . import contentstats, detectkit, graphlab, linkmap, seedscan, synthnet
 from .corpus import (ACCOUNTS_FILE, EDGES_FILE, LABELS_FILE, TWEETS_FILE,
                      Corpus, CorpusError, GroupPartition, cap_tweets,
-                     export_corpus, load_corpus, merge_corpora, validate)
+                     export_corpus, load_corpus, validate)
 
 SUBCOMMANDS = ("ingest", "scan-phrases", "expand-domains", "graph-stats",
                "content-stats", "score", "sweep", "ttest", "synth", "report")
@@ -45,25 +46,18 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Small deterministic writers
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return "" if value is None else str(value)
-
-
 def _write_csv(path: Path, header, rows) -> Path:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
     return path
 
 
 def _write_json(path: Path, obj) -> Path:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # Serialized first, so a non-finite value leaves no partial file behind.
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -97,15 +91,18 @@ CATEGORY_COLUMNS = ("category", "count", "percentage")
 SWEEP_COLUMNS = ("threshold", "precision", "recall", "f1")
 
 
-def _profile_obj(corpus: Corpus, members) -> dict:
-    p = contentstats.profile_summary(corpus, members)
-    return {
-        "n_accounts": p.n_accounts,
-        "follower_mean": p.follower_mean, "follower_sd": p.follower_sd,
-        "following_mean": p.following_mean, "following_sd": p.following_sd,
-        "tweet_count_mean": p.tweet_count_mean, "tweet_count_sd": p.tweet_count_sd,
-        "creation_years": {str(y): c for y, c in p.creation_years.items()},
+def _graph_stats(corpus: Corpus, kind: str, members):
+    """The kind's graph over ``members`` (None: every account), its degree
+    summary and the metrics graph-stats reports."""
+    graph = graphlab.build_graph(corpus, kind, node_restriction=members)
+    summary = graphlab.degree_stats(graph)
+    metrics = {
+        "mean_in": summary.mean_in, "sd_in": summary.sd_in,
+        "mean_out": summary.mean_out, "sd_out": summary.sd_out,
+        "n_nodes": graph.n_nodes, "n_edges": graph.n_edges,
+        "largest_wcc_size": len(graphlab.largest_wcc(graph)),
     }
+    return graph, summary, metrics
 
 
 def _degree_rows(summary: graphlab.DegreeSummary) -> list[tuple]:
@@ -140,7 +137,9 @@ def _sweep_rows(outcome: detectkit.SweepOutcome) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Shared argument plumbing
 
-def _add_corpus_args(parser):
+def _add_corpus_command(sub, name: str, handler, help: str):
+    """A subcommand that loads a corpus and writes into --out."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("--corpus-dir", help="directory holding accounts.jsonl, "
                         "tweets.jsonl, edges.jsonl, labels.csv")
     parser.add_argument("--accounts", help="accounts.jsonl path (overrides --corpus-dir)")
@@ -151,6 +150,9 @@ def _add_corpus_args(parser):
                         "to the names used in the input files")
     parser.add_argument("--tweet-cap", type=_positive_int, default=None,
                         help="keep only each account's N most recent tweets")
+    _add_out_arg(parser)
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def _add_out_arg(parser):
@@ -340,7 +342,7 @@ def _cmd_expand_domains(args):
                                         [(a,) for a in sorted(expanded)]),
         "domain_freq": _write_csv(
             out / "domain_freq.csv", ("domain", "count"),
-            linkmap.domain_frequency(corpus, expanded, args.top) if expanded else []),
+            linkmap.domain_frequency(corpus, expanded, args.top)),
     }
     share = linkmap.domain_share_profiles(corpus, expanded, seeds)
     outputs["share_profiles"] = _write_csv(
@@ -356,14 +358,7 @@ def _cmd_expand_domains(args):
 def _cmd_graph_stats(args):
     corpus = _load_corpus_from_args(args)
     restriction = _group_members(corpus, args.group) if args.group is not None else None
-    graph = graphlab.build_graph(corpus, args.kind, node_restriction=restriction)
-    summary = graphlab.degree_stats(graph)
-    metrics = {
-        "mean_in": summary.mean_in, "sd_in": summary.sd_in,
-        "mean_out": summary.mean_out, "sd_out": summary.sd_out,
-        "n_nodes": graph.n_nodes, "n_edges": graph.n_edges,
-        "largest_wcc_size": len(graphlab.largest_wcc(graph)),
-    }
+    graph, summary, metrics = _graph_stats(corpus, args.kind, restriction)
     out = _out_dir(args)
     outputs = {
         "edges": _write_csv(out / f"{args.kind}_edges.csv", ("source", "target", "weight"),
@@ -408,7 +403,7 @@ def _cmd_content_stats(args):
     }
     metrics = {"n_accounts_with_tweets": len(points), "resolution": args.resolution}
     if group:
-        profile = _profile_obj(corpus, group)
+        profile = dataclasses.asdict(contentstats.profile_summary(corpus, group))
         outputs["profile_summary"] = _write_json(out / "profile_summary.json", profile)
         metrics["follower_mean"] = profile["follower_mean"]
     return _summary("content-stats", outputs, metrics)
@@ -438,10 +433,7 @@ def _cmd_score(args):
 
 def _cmd_sweep(args):
     scores = _read_scores_csv(_require(args.scores, "--scores"))
-    try:
-        outcome = detectkit.sweep_threshold(scores)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    outcome = detectkit.sweep_threshold(scores)
     out = _out_dir(args)
     summary_obj = {
         "best_threshold": outcome.best.threshold,
@@ -450,13 +442,11 @@ def _cmd_sweep(args):
         "recall": outcome.best.recall,
         "welch": None,
     }
-    bots, humans = detectkit.split_labeled(scores)
-    if len(bots) >= 2 and len(humans) >= 2:
-        try:
-            welch = detectkit.welch_t(bots, humans)
-            summary_obj["welch"] = {"t": welch.t, "df": welch.df, "p": welch.p}
-        except ValueError:
-            pass
+    try:
+        summary_obj["welch"] = dataclasses.asdict(
+            detectkit.welch_t(*detectkit.split_labeled(scores)))
+    except ValueError:
+        pass
     outputs = {
         "sweep_curve": _write_csv(out / "sweep_curve.csv", SWEEP_COLUMNS, _sweep_rows(outcome)),
         "summary": _write_json(out / "summary.json", summary_obj),
@@ -466,41 +456,30 @@ def _cmd_sweep(args):
 
 def _cmd_ttest(args):
     bots, humans = detectkit.split_labeled(_read_scores_csv(_require(args.scores, "--scores")))
-    try:
-        result = detectkit.welch_t(bots, humans)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    result = detectkit.welch_t(bots, humans)
     out = _out_dir(args)
-    obj = {"t": result.t, "df": result.df, "p": result.p,
-           "n_bot": len(bots), "n_human": len(humans)}
+    obj = {**dataclasses.asdict(result), "n_bot": len(bots), "n_human": len(humans)}
     outputs = {"ttest": _write_json(out / "ttest.json", obj)}
     return _summary("ttest", outputs, obj)
 
 
-def _coerce_param(value: str):
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) > 1:
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            return tuple(parts)
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        return value
+def _typed_like(default, text: str):
+    """``text`` as the type of a generator field's default; a tuple field
+    takes comma-separated values of its first element's type."""
+    if isinstance(default, tuple):
+        return tuple(_typed_like(default[0], part.strip()) for part in text.split(","))
+    value = type(default)(text)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def _read_params_file(path: Path) -> tuple[dict, dict]:
-    """Parse key=value generator settings; human_* keys address the organic side."""
-    import dataclasses
-    bot_fields = {f.name for f in dataclasses.fields(synthnet.BotnetParams)}
-    human_fields = {f.name for f in dataclasses.fields(synthnet.HumanParams)}
-    bot_kwargs: dict = {}
-    human_kwargs: dict = {}
+    """Parse key = value generator settings into BotnetParams and HumanParams
+    fields; human_* keys and n_humans address the organic side."""
+    defaults = tuple({f.name: f.default for f in dataclasses.fields(cls)}
+                     for cls in (synthnet.BotnetParams, synthnet.HumanParams))
+    fields: tuple[dict, dict] = ({}, {})
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -509,43 +488,34 @@ def _read_params_file(path: Path) -> tuple[dict, dict]:
         if not sep:
             raise DataError(f"{path}:{lineno}: expected key = value")
         key = key.strip()
-        parsed = _coerce_param(value.strip())
-        if key.startswith("human_") and key[6:] in human_fields:
-            human_kwargs[key[6:]] = parsed
+        if key.startswith("human_") and key[6:] in defaults[1]:
+            side, name = 1, key[6:]
         elif key == "n_humans":
-            human_kwargs["n_humans"] = parsed
-        elif key in bot_fields:
-            bot_kwargs[key] = parsed
+            side, name = 1, key
+        elif key in defaults[0]:
+            side, name = 0, key
         else:
             raise DataError(f"{path}:{lineno}: unknown generator parameter {key!r}")
-    return bot_kwargs, human_kwargs
+        try:
+            fields[side][name] = _typed_like(defaults[side][name], value.strip())
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad value for {key!r} ({exc})") from exc
+    return fields
 
 
 def _cmd_synth(args):
-    bot_kwargs: dict = {}
-    human_kwargs: dict = {}
-    if args.params:
-        bot_kwargs, human_kwargs = _read_params_file(_require(args.params, "--params"))
-    seed = args.seed if args.seed is not None else bot_kwargs.get("rng_seed", 0)
-    bot_kwargs["rng_seed"] = seed
-    human_kwargs.setdefault("rng_seed", seed + 1)
-    if args.n_bots is not None:
-        bot_kwargs["n_bots"] = args.n_bots
-    if args.n_humans is not None:
-        human_kwargs["n_humans"] = args.n_humans
-    try:
-        bot_params = synthnet.BotnetParams(**bot_kwargs)
-        human_params = synthnet.HumanParams(**human_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad generator parameters: {exc}") from exc
-    corpus = synthnet.generate_botnet(bot_params)
-    if human_params.n_humans > 0:
-        corpus = merge_corpora(corpus, synthnet.generate_humans(human_params))
-    out = _out_dir(args)
-    paths = export_corpus(corpus, out)
+    bot_fields, human_fields = (_read_params_file(_require(args.params, "--params"))
+                                if args.params else ({}, {}))
+    for fields, name, value in ((bot_fields, "rng_seed", args.seed),
+                                (bot_fields, "n_bots", args.n_bots),
+                                (human_fields, "n_humans", args.n_humans)):
+        if value is not None:
+            fields[name] = value
+    corpus = synthnet.fox8_preset(bot_fields=bot_fields, human_fields=human_fields)
+    paths = export_corpus(corpus, _out_dir(args))
     metrics = {
         "preset": args.preset,
-        "seed": seed,
+        "seed": bot_fields.get("rng_seed", 0),
         "n_accounts": corpus.n_accounts,
         "n_tweets": corpus.n_tweets,
         "n_follow_edges": len(corpus.follow_edges),
@@ -563,16 +533,16 @@ def _cmd_report(args):
     metrics: dict = {"bot_group_size": len(bot_group), "human_group_size": len(human_group)}
 
     outputs["fig1_profiles"] = _write_json(out / "fig1_profiles.json", {
-        name: _profile_obj(corpus, members) if members else None
+        name: dataclasses.asdict(contentstats.profile_summary(corpus, members))
+        if members else None
         for name, members in named_groups})
 
     degree_rows = []
     for kind in graphlab.EDGE_KINDS if bot_group else ():
-        graph = graphlab.build_graph(corpus, kind, node_restriction=bot_group)
-        summary = graphlab.degree_stats(graph)
+        _, summary, stats = _graph_stats(corpus, kind, bot_group)
         degree_rows += [(kind, *row) for row in _degree_rows(summary)]
-        metrics[f"{kind}_mean_in"] = summary.mean_in
-        metrics[f"{kind}_largest_wcc"] = len(graphlab.largest_wcc(graph))
+        metrics[f"{kind}_mean_in"] = stats["mean_in"]
+        metrics[f"{kind}_largest_wcc"] = stats["largest_wcc_size"]
     outputs["fig2_degrees"] = _write_csv(
         out / "fig2_degrees.csv", ("edge_kind", *DEGREE_COLUMNS), degree_rows)
 
@@ -593,14 +563,14 @@ def _cmd_report(args):
     outputs["fig3_ternary"] = _write_csv(
         out / "fig3_ternary.csv", ("group", *TERNARY_COLUMNS), ternary_rows)
 
-    hashtags = contentstats.hashtag_ranking(corpus, bot_group, args.top) if bot_group else []
+    hashtags = contentstats.hashtag_ranking(corpus, bot_group, args.top)
     outputs["fig4_hashtags"] = _write_csv(
         out / "fig4_hashtags.csv", ("rank", "hashtag", "count"), _rank_rows(hashtags))
-    amplified = contentstats.amplified_accounts(corpus, bot_group, args.top) if bot_group else []
+    amplified = contentstats.amplified_accounts(corpus, bot_group, args.top)
     outputs["fig4_amplified"] = _write_csv(
         out / "fig4_amplified.csv", ("rank", "account_id", "count"), _rank_rows(amplified))
 
-    domains = linkmap.domain_frequency(corpus, bot_group, args.top) if bot_group else []
+    domains = linkmap.domain_frequency(corpus, bot_group, args.top)
     outputs["fig5_domains"] = _write_csv(
         out / "fig5_domains.csv", ("rank", "domain", "count"), _rank_rows(domains))
     if bot_group:
@@ -616,10 +586,7 @@ def _cmd_report(args):
                   "n_bot_scores": 0, "scores_file": None}
     if args.recall_scores:
         recall_scores = _read_scores_csv(_require(args.recall_scores, "--recall-scores"))
-        try:
-            recall_obj["recall"] = detectkit.recall_at(recall_scores, args.recall_threshold)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
+        recall_obj["recall"] = detectkit.recall_at(recall_scores, args.recall_threshold)
         recall_obj["n_bot_scores"] = len(detectkit.split_labeled(recall_scores)[0])
         recall_obj["scores_file"] = str(args.recall_scores)
     outputs["fig6_recall"] = _write_json(out / "fig6_recall.json", recall_obj)
@@ -653,51 +620,36 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print a machine-readable summary on stdout")
     sub = parser.add_subparsers(dest="command", metavar="|".join(SUBCOMMANDS))
 
-    p = sub.add_parser("ingest", help="load, validate, and summarize a corpus")
-    _add_corpus_args(p)
-    _add_out_arg(p)
+    p = _add_corpus_command(sub, "ingest", _cmd_ingest, "load, validate, and summarize a corpus")
     p.add_argument("--export", action="store_true", help="re-emit the normalized corpus")
     p.add_argument("--strict", action="store_true", help="exit 2 on any violation")
-    p.set_defaults(handler=_cmd_ingest)
 
-    p = sub.add_parser("scan-phrases", help="find and categorize self-revealing tweets")
-    _add_corpus_args(p)
-    _add_out_arg(p)
+    p = _add_corpus_command(sub, "scan-phrases", _cmd_scan_phrases,
+                            "find and categorize self-revealing tweets")
     p.add_argument("--phrases", help="phrases.txt (one phrase per line)")
     p.add_argument("--rules", help="category_rules.csv (priority,category,trigger)")
-    p.set_defaults(handler=_cmd_scan_phrases)
 
-    p = sub.add_parser("expand-domains", help="expand candidate accounts by seed domains")
-    _add_corpus_args(p)
-    _add_out_arg(p)
+    p = _add_corpus_command(sub, "expand-domains", _cmd_expand_domains,
+                            "expand candidate accounts by seed domains")
     p.add_argument("--seeds", help="seeds.txt (one domain per line)")
     p.add_argument("--top", type=_positive_int, default=10,
                    help="domains to keep in domain_freq.csv")
-    p.set_defaults(handler=_cmd_expand_domains)
 
-    p = sub.add_parser("graph-stats", help="interaction-graph metrics")
-    _add_corpus_args(p)
-    _add_out_arg(p)
+    p = _add_corpus_command(sub, "graph-stats", _cmd_graph_stats, "interaction-graph metrics")
     p.add_argument("--kind", choices=graphlab.EDGE_KINDS, default="follow")
     p.add_argument("--group", help="restrict both endpoints to this labeled group")
     p.add_argument("--pair-groups", help="comma-separated group names for pair rates")
-    p.set_defaults(handler=_cmd_graph_stats)
 
-    p = sub.add_parser("content-stats", help="tweet mix, rankings, profile summaries")
-    _add_corpus_args(p)
-    _add_out_arg(p)
+    p = _add_corpus_command(sub, "content-stats", _cmd_content_stats,
+                            "tweet mix, rankings, profile summaries")
     p.add_argument("--group", help="labeled group (default: every account)")
     p.add_argument("--resolution", type=_positive_int, default=20)
     p.add_argument("--top", type=_positive_int, default=10)
-    p.set_defaults(handler=_cmd_content_stats)
 
-    p = sub.add_parser("score", help="run a text detector over accounts")
-    _add_corpus_args(p)
-    _add_out_arg(p)
+    p = _add_corpus_command(sub, "score", _cmd_score, "run a text detector over accounts")
     p.add_argument("--group", help="labeled group (default: every account)")
     p.add_argument("--min-qualified", type=_positive_int, default=1)
     _add_detector_args(p)
-    p.set_defaults(handler=_cmd_score)
 
     p = sub.add_parser("sweep", help="F1-maximizing threshold sweep over labeled scores")
     _add_out_arg(p)
@@ -719,9 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(human_* keys address the organic side)")
     p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("report", help="emit every figure/table data file")
-    _add_corpus_args(p)
-    _add_out_arg(p)
+    p = _add_corpus_command(sub, "report", _cmd_report, "emit every figure/table data file")
     p.add_argument("--bot-group", default="bot")
     p.add_argument("--human-group", default="human")
     p.add_argument("--resolution", type=_positive_int, default=20)
@@ -729,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recall-scores", help="CSV with value,label for the recall harness")
     p.add_argument("--recall-threshold", type=float, default=2.5)
     _add_detector_args(p)
-    p.set_defaults(handler=_cmd_report)
 
     return parser
 
@@ -741,6 +690,7 @@ def run(argv=None) -> int:
         if getattr(args, "handler", None) is None:
             raise UsageError("a subcommand is required (see --help)")
         summary = args.handler(args)
+        line = json.dumps(summary, sort_keys=True, allow_nan=False) if args.json else None
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -752,8 +702,8 @@ def run(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive catch-all
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        print(json.dumps(summary, sort_keys=True))
+    if line is not None:
+        print(line)
     return 0
 
 

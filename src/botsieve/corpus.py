@@ -216,8 +216,8 @@ class _RecordError(Exception):
         self.detail = detail
 
 
-def _as_id(obj, key, aliases) -> str:
-    value = obj.get(aliases.get(key, key))
+def _as_id(obj, key) -> str:
+    value = obj.get(key)
     if value is None or (isinstance(value, str) and not value.strip()):
         raise _RecordError(f"missing-field:{key}")
     if isinstance(value, (str, int)):
@@ -225,8 +225,8 @@ def _as_id(obj, key, aliases) -> str:
     raise _RecordError(f"bad-field:{key}", f"expected identifier, got {type(value).__name__}")
 
 
-def _as_count(obj, key, aliases) -> int:
-    value = obj.get(aliases.get(key, key))
+def _as_count(obj, key) -> int:
+    value = obj.get(key)
     if value is None:
         raise _RecordError(f"missing-field:{key}")
     if isinstance(value, bool) or not isinstance(value, int):
@@ -236,8 +236,8 @@ def _as_count(obj, key, aliases) -> int:
     return value
 
 
-def _as_instant(obj, key, aliases) -> datetime:
-    value = obj.get(aliases.get(key, key))
+def _as_instant(obj, key) -> datetime:
+    value = obj.get(key)
     if value is None:
         raise _RecordError(f"missing-field:{key}")
     try:
@@ -246,57 +246,57 @@ def _as_instant(obj, key, aliases) -> datetime:
         raise _RecordError("bad-timestamp", str(exc)) from exc
 
 
-def _parse_account(obj, aliases) -> Account:
+def _parse_account(obj) -> Account:
     return Account(
-        account_id=_as_id(obj, "account_id", aliases),
-        handle=str(obj.get(aliases.get("handle", "handle"), "") or ""),
-        created_at=_as_instant(obj, "created_at", aliases),
-        follower_count=_as_count(obj, "follower_count", aliases),
-        following_count=_as_count(obj, "following_count", aliases),
-        tweet_count=_as_count(obj, "tweet_count", aliases),
-        description=str(obj.get(aliases.get("description", "description"), "") or ""),
+        account_id=_as_id(obj, "account_id"),
+        handle=str(obj.get("handle", "") or ""),
+        created_at=_as_instant(obj, "created_at"),
+        follower_count=_as_count(obj, "follower_count"),
+        following_count=_as_count(obj, "following_count"),
+        tweet_count=_as_count(obj, "tweet_count"),
+        description=str(obj.get("description", "") or ""),
     )
 
 
-def _optional_id(obj, key, aliases) -> str | None:
-    value = obj.get(aliases.get(key, key))
+def _optional_id(obj, key) -> str | None:
+    value = obj.get(key)
     if value is None or value == "":
         return None
     return str(value).strip() or None
 
 
-def _parse_tweet(obj, aliases) -> Tweet:
-    kind = obj.get(aliases.get("kind", "kind"))
+def _parse_tweet(obj) -> Tweet:
+    kind = obj.get("kind")
     if kind is None:
         raise _RecordError("missing-field:kind")
-    if kind not in VALID_KINDS:
+    if not isinstance(kind, str) or kind not in VALID_KINDS:
         raise _RecordError("bad-kind", f"kind={kind!r}")
-    text = obj.get(aliases.get("text", "text"))
+    text = obj.get("text")
     if text is None:
         raise _RecordError("missing-field:text")
-    raw_tags = obj.get(aliases.get("hashtags", "hashtags")) or []
-    raw_urls = obj.get(aliases.get("urls", "urls")) or []
+    raw_tags = obj.get("hashtags") or []
+    raw_urls = obj.get("urls") or []
     if not isinstance(raw_tags, list) or not isinstance(raw_urls, list):
         raise _RecordError("bad-field:entities", "hashtags/urls must be lists")
     hashtags = tuple(t for t in (normalize_hashtag(str(tag)) for tag in raw_tags) if t)
-    language = obj.get(aliases.get("language", "language"))
+    language = obj.get("language")
     return Tweet(
-        tweet_id=_as_id(obj, "tweet_id", aliases),
-        author_id=_as_id(obj, "author_id", aliases),
-        created_at=_as_instant(obj, "created_at", aliases),
+        tweet_id=_as_id(obj, "tweet_id"),
+        author_id=_as_id(obj, "author_id"),
+        created_at=_as_instant(obj, "created_at"),
         text=str(text),
         kind=kind,
-        in_reply_to_account=_optional_id(obj, "in_reply_to_account", aliases),
-        referenced_account=_optional_id(obj, "referenced_account", aliases),
+        in_reply_to_account=_optional_id(obj, "in_reply_to_account"),
+        referenced_account=_optional_id(obj, "referenced_account"),
         hashtags=hashtags,
         urls=tuple(str(u) for u in raw_urls),
         language=str(language) if language not in (None, "") else None,
     )
 
 
-def _iter_jsonl(path: Path):
-    """Yield (line_number, decoded_object_or_None); None marks a line that is
-    not UTF-8 or not a JSON object."""
+def _iter_lines(path: Path):
+    """Yield (line_number, stripped_text_or_None) for each non-blank physical
+    line; None marks a line that is not UTF-8."""
     try:
         handle = open(path, "rb")
     except OSError as exc:
@@ -304,18 +304,12 @@ def _iter_jsonl(path: Path):
     with handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
-                stripped = raw.decode("utf-8").strip()
+                text = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
                 yield lineno, None
                 continue
-            if not stripped:
-                continue
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError:
-                yield lineno, None
-                continue
-            yield lineno, obj if isinstance(obj, dict) else None
+            if text:
+                yield lineno, text
 
 
 def _load_jsonl_records(path: Path, parse, aliases, violations):
@@ -325,16 +319,25 @@ def _load_jsonl_records(path: Path, parse, aliases, violations):
     malformed = 0
     first_bad: int | None = None
     fname = path.name
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, text in _iter_lines(path):
         total += 1
-        if obj is None:
+        try:
+            obj = json.loads(text) if text is not None else None
+        except (ValueError, RecursionError):
+            # Besides bad JSON: integers past the digit limit, deep nesting.
+            obj = None
+        if not isinstance(obj, dict):
             malformed += 1
             if first_bad is None:
                 first_bad = lineno
             violations.append(Violation("invalid-json", file=fname, line=lineno))
             continue
+        if aliases:
+            # Read every renamed field from the original object, so that
+            # swapped names resolve correctly.
+            obj = {**obj, **{canonical: obj.get(name) for canonical, name in aliases.items()}}
         try:
-            records.append((lineno, parse(obj, aliases)))
+            records.append((lineno, parse(obj)))
         except _RecordError as exc:
             violations.append(
                 Violation(exc.rule, file=fname, line=lineno, detail=exc.detail)
@@ -347,40 +350,46 @@ def _load_jsonl_records(path: Path, parse, aliases, violations):
     return records
 
 
-def _load_labels(path: Path, known_accounts, violations) -> GroupPartition:
+def _csv_row(text: str | None) -> list[str]:
+    """One CSV record on one line; [] when the line is not UTF-8 (None) or not CSV."""
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
+        return next(csv.reader([text]))
+    except csv.Error:
+        return []
+
+
+def _load_labels(path: Path, known_accounts, violations) -> GroupPartition:
     fname = path.name
     groups: dict[str, set[str]] = {}
     assigned: dict[str, str] = {}
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"account_id", "group_name"} <= set(reader.fieldnames):
-            raise CorpusError(f"{fname}: header must contain account_id,group_name")
-        for lineno, row in enumerate(reader, start=2):
-            account_id = (row.get("account_id") or "").strip()
-            group = (row.get("group_name") or "").strip()
-            if not account_id or not group:
-                violations.append(Violation("bad-label-row", file=fname, line=lineno))
-                continue
-            if account_id not in known_accounts:
+    lines = _iter_lines(path)
+    _, header = next(lines, (None, None))
+    fields = _csv_row(header)
+    if not {"account_id", "group_name"} <= set(fields):
+        raise CorpusError(f"{fname}: header must contain account_id,group_name")
+    for lineno, text in lines:
+        row = dict(zip(fields, _csv_row(text)))
+        account_id = row.get("account_id", "").strip()
+        group = row.get("group_name", "").strip()
+        if not account_id or not group:
+            violations.append(Violation("bad-label-row", file=fname, line=lineno))
+            continue
+        if account_id not in known_accounts:
+            violations.append(
+                Violation("partition-unknown-member", file=fname, line=lineno,
+                          identifier=account_id)
+            )
+            continue
+        if account_id in assigned:
+            if assigned[account_id] != group:
                 violations.append(
-                    Violation("partition-unknown-member", file=fname, line=lineno,
-                              identifier=account_id)
+                    Violation("partition-overlap", file=fname, line=lineno,
+                              identifier=account_id,
+                              detail=f"already in {assigned[account_id]}")
                 )
-                continue
-            if account_id in assigned:
-                if assigned[account_id] != group:
-                    violations.append(
-                        Violation("partition-overlap", file=fname, line=lineno,
-                                  identifier=account_id,
-                                  detail=f"already in {assigned[account_id]}")
-                    )
-                continue
-            assigned[account_id] = group
-            groups.setdefault(group, set()).add(account_id)
+            continue
+        assigned[account_id] = group
+        groups.setdefault(group, set()).add(account_id)
     return GroupPartition({name: frozenset(members) for name, members in groups.items()})
 
 
@@ -394,6 +403,10 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
     identifiers and files with >10% undecodable lines raise CorpusError.
     """
     aliases = field_aliases or {}
+    if not isinstance(aliases, dict) or not all(
+            isinstance(m, dict) and all(isinstance(v, str) for v in m.values())
+            for m in aliases.values()):
+        raise CorpusError("field aliases must be an object of {canonical: input name} objects")
     violations: list[Violation] = []
     provenance: dict[tuple[str, str], tuple[str, int]] = {}
 
@@ -417,12 +430,12 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
     if edge_path is not None:
         edge_path = Path(edge_path)
         seen_pairs = set()
-        edge_aliases = aliases.get("edges", {})
 
-        def parse_edge(obj, al):
-            return FollowEdge(source=_as_id(obj, "source", al), target=_as_id(obj, "target", al))
+        def parse_edge(obj):
+            return FollowEdge(source=_as_id(obj, "source"), target=_as_id(obj, "target"))
 
-        for lineno, edge in _load_jsonl_records(edge_path, parse_edge, edge_aliases, violations):
+        for lineno, edge in _load_jsonl_records(edge_path, parse_edge, aliases.get("edges", {}),
+                                                violations):
             if edge.source == edge.target:
                 violations.append(
                     Violation("self-follow", file=edge_path.name, line=lineno,

@@ -396,7 +396,8 @@ def welch_t(sample_a, sample_b) -> WelchResult:
 
     The statistic carries the sign of mean(a) - mean(b); degrees of freedom
     follow Welch-Satterthwaite; the p-value uses the t-distribution
-    survival function.
+    survival function. Samples whose statistics overflow to a non-finite
+    value raise ValueError.
     """
     a = np.asarray(list(sample_a), dtype=float)
     b = np.asarray(list(sample_b), dtype=float)
@@ -415,4 +416,6 @@ def welch_t(sample_a, sample_b) -> WelchResult:
     wb = sb / (sa + sb)
     df = 1.0 / (wa**2 / (len(a) - 1) + wb**2 / (len(b) - 1))
     p = float(2.0 * _scipy_stats.t.sf(abs(t), df))
+    if not all(math.isfinite(v) for v in (t, df, p)):
+        raise ValueError(f"Welch statistics are not finite (t={t}, df={df}, p={p})")
     return WelchResult(t=float(t), df=float(df), p=p)

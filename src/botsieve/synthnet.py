@@ -20,7 +20,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .corpus import Account, Corpus, FollowEdge, GroupPartition, Tweet, make_corpus
+from .corpus import (Account, Corpus, FollowEdge, GroupPartition, Tweet, make_corpus,
+                     merge_corpora)
 from .linkmap import DEFAULT_SEED_DOMAINS
 from .seedscan import SelfRevealCategory
 
@@ -444,12 +445,19 @@ def simulate_scores(n_bots: int = 1140, n_humans: int = 1140,
     return [(float(v), "bot") for v in bots] + [(float(v), "human") for v in humans]
 
 
-def fox8_preset(seed: int = 0, n_bots: int = 1140, n_humans: int = 1140) -> Corpus:
-    """The default benchmark corpus: one dense botnet plus organic accounts."""
-    from .corpus import merge_corpora
+def fox8_preset(seed: int = 0, n_bots: int = 1140, n_humans: int = 1140,
+                bot_fields: dict | None = None, human_fields: dict | None = None) -> Corpus:
+    """The default benchmark corpus: one dense botnet plus organic accounts.
 
-    botnet = generate_botnet(BotnetParams(n_bots=n_bots, rng_seed=seed))
-    if n_humans == 0:
+    ``bot_fields`` and ``human_fields`` set BotnetParams and HumanParams
+    fields by name and win over the arguments. The humans draw from the
+    botnet's seed + 1 unless ``human_fields`` sets their ``rng_seed``. Both
+    parameter sets are validated before anything is generated.
+    """
+    bot_params = BotnetParams(**{"n_bots": n_bots, "rng_seed": seed, **(bot_fields or {})})
+    human_params = HumanParams(**{"n_humans": n_humans, "rng_seed": bot_params.rng_seed + 1,
+                                  **(human_fields or {})})
+    botnet = generate_botnet(bot_params)
+    if human_params.n_humans == 0:
         return botnet
-    humans = generate_humans(HumanParams(n_humans=n_humans, rng_seed=seed + 1))
-    return merge_corpora(botnet, humans)
+    return merge_corpora(botnet, generate_humans(human_params))

@@ -1,14 +1,18 @@
 import csv
+import dataclasses
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botsieve import synthnet
 from botsieve.cli import run
-from botsieve.corpus import export_corpus
+from botsieve.corpus import Account, FollowEdge, Tweet, export_corpus
 from conftest import account, corpus_of, tweet
 
 SCHEMA = json.loads(
@@ -329,3 +333,82 @@ def test_data_error_names_missing_group(capsys, tmp_path):
                 "--group", "bot", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "bot" in capsys.readouterr().err
+
+
+def test_welch_overflow_is_rejected_not_printed_as_nan(capsys, tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("value,label\n1e308,bot\n-1e308,bot\n1e308,human\n-1e308,human\n")
+    out = tmp_path / "out"
+    assert run(["ttest", "--scores", str(scores), "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "ttest.json").exists()
+    summary = run_json(capsys, ["sweep", "--scores", str(scores), "--out", str(out)])
+    assert summary["metrics"]["welch"] is None
+    assert json.loads((out / "summary.json").read_text())["welch"] is None
+
+
+@pytest.mark.parametrize("aliases", ['[1]', '{"tweets": "x"}', '"tweets"',
+                                     '{"tweets": {"tweet_id": ["id"]}}'])
+def test_malformed_aliases_are_data_errors(capsys, synth_dir, tmp_path, aliases):
+    path = tmp_path / "aliases.json"
+    path.write_text(aliases)
+    assert run(["ingest", "--corpus-dir", str(synth_dir), "--aliases", str(path),
+                "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.mark.parametrize("line", ["n_bots = 12.0", "rng_seed = abc", "min_tweets = 3.5"])
+def test_params_values_take_their_field_type(capsys, tmp_path, line):
+    params = tmp_path / "gen.conf"
+    params.write_text(f"n_bots = 12\nn_humans = 2\nfollow_degree_mean = 3.0\n{line}\n")
+    assert run(["synth", "--params", str(params), "--out", str(tmp_path / "o")]) == 2
+    assert f"{params}:4:" in capsys.readouterr().err
+
+
+def test_synth_is_the_fox8_preset(tmp_path):
+    assert run(["synth", "--seed", "3", "--n-bots", "15", "--n-humans", "10",
+                "--out", str(tmp_path / "cli")]) == 0
+    expected = export_corpus(synthnet.fox8_preset(3, 15, 10), tmp_path / "lib")
+    for name, path in expected.items():
+        assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes(), name
+
+
+CORPUS_COMMANDS = ("ingest", "scan-phrases", "expand-domains", "graph-stats",
+                   "content-stats", "score", "report")
+RECORD_FIELDS = sorted({f.name for cls in (Account, Tweet, FollowEdge)
+                        for f in dataclasses.fields(cls)})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+FUZZ_LINES = st.binary(max_size=40) | st.dictionaries(
+    st.sampled_from(RECORD_FIELDS), JSON_VALUES, max_size=6).map(lambda o: json.dumps(o).encode())
+
+
+@pytest.fixture(scope="module")
+def tiny_dir(tmp_path_factory):
+    """A 7-account corpus with a few tweets per account."""
+    base = tmp_path_factory.mktemp("tiny")
+    params = base / "gen.conf"
+    params.write_text("n_bots = 4\nn_humans = 3\nfollow_degree_mean = 2.0\n"
+                      "follow_degree_sd = 1.0\nmin_tweets = 1\ntweets_mean = 4.0\n"
+                      "tweets_sd = 2.0\nhuman_tweets_mean = 4.0\nhuman_tweets_sd = 2.0\n")
+    assert run(["synth", "--params", str(params), "--seed", "2",
+                "--out", str(base / "corpus")]) == 0
+    return base / "corpus"
+
+
+@given(name=st.sampled_from(("accounts.jsonl", "tweets.jsonl", "edges.jsonl", "labels.csv")),
+       lines=st.lists(FUZZ_LINES, min_size=1, max_size=4))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_fuzzed_corpus_lines_exit_0_1_or_2(tiny_dir, name, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_dir = Path(tmp) / "corpus"
+        shutil.copytree(tiny_dir, corpus_dir)
+        with open(corpus_dir / name, "ab") as fh:
+            fh.write(b"".join(line + b"\n" for line in lines))
+        for command in CORPUS_COMMANDS:
+            code = run(["--json", command, "--corpus-dir", str(corpus_dir),
+                        "--out", str(Path(tmp) / "out")])
+            assert code in (0, 1, 2), (command, lines)

@@ -110,6 +110,19 @@ def test_invalid_utf8_line_is_a_located_violation(tmp_path):
     assert [(v.rule, v.line) for v in corpus.load_report] == [("invalid-json", 6)]
 
 
+def test_overlong_integer_and_deep_nesting_are_located_violations(tmp_path):
+    paths = write_corpus_files(tmp_path)
+    lines = [json.dumps({**TWEET_LINES[0], "tweet_id": f"x{i}"}) for i in range(20)]
+    lines[3] = '{"tweet_id": ' + "1" * 5000 + "}"
+    lines[7] = "[" * 100_000 + "]" * 100_000
+    tweet_path = tmp_path / "hostile.jsonl"
+    tweet_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = cp.load_corpus(paths["accounts"], tweet_path)
+    assert corpus.n_tweets == 18
+    assert [(v.rule, v.line) for v in corpus.load_report] == [("invalid-json", 4),
+                                                              ("invalid-json", 8)]
+
+
 def test_duplicate_tweet_id_fatal(tmp_path):
     lines = TWEET_LINES + [dict(TWEET_LINES[0])]
     paths = write_corpus_files(tmp_path, tweets=lines)
@@ -198,6 +211,15 @@ def test_labels_loaded_and_unknown_member_flagged(tmp_path):
     assert "partition-unknown-member" in corpus.load_report.rules()
 
 
+def test_invalid_utf8_label_row_is_a_located_violation(tmp_path):
+    paths = write_corpus_files(tmp_path)
+    label_path = tmp_path / "labels.csv"
+    label_path.write_bytes(b"account_id,group_name\r\na1,bot\r\n\r\na3,bot\xff\r\na2,human\r\n")
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"], None, label_path)
+    assert corpus.partition.groups == {"bot": frozenset({"a1"}), "human": frozenset({"a2"})}
+    assert [(v.rule, v.line) for v in corpus.load_report] == [("bad-label-row", 4)]
+
+
 def test_overlapping_label_flagged_first_wins(tmp_path):
     paths = write_corpus_files(tmp_path, labels=[("a1", "bot"), ("a1", "human")])
     corpus = cp.load_corpus(paths["accounts"], paths["tweets"], None, paths["labels"])
@@ -250,6 +272,20 @@ def test_field_aliases(tmp_path):
     corpus = cp.load_corpus(a_path, t_path, field_aliases=aliases)
     assert corpus.accounts["a1"].handle == "alice"
     assert corpus.tweets["t1"].author_id == "a1"
+    # Each renamed field is read from the record as written, so names can swap.
+    aliases["accounts"] = {"account_id": "id", "handle": "description",
+                           "description": "handle"}
+    write_jsonl(a_path, [{**accounts[0], "handle": "the bio", "description": "alice"}])
+    corpus = cp.load_corpus(a_path, t_path, field_aliases=aliases)
+    assert (corpus.accounts["a1"].handle, corpus.accounts["a1"].description) == \
+        ("alice", "the bio")
+
+
+def test_non_string_kind_is_bad_kind(tmp_path):
+    paths = write_corpus_files(tmp_path, tweets=[*TWEET_LINES, {**TWEET_LINES[0],
+                                                               "tweet_id": "t4", "kind": []}])
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"])
+    assert [(v.rule, v.line) for v in corpus.load_report] == [("bad-kind", 4)]
 
 
 def test_cap_tweets_keeps_most_recent():

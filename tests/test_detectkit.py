@@ -345,6 +345,8 @@ def test_welch_errors():
         dk.welch_t([1], [2, 3])
     with pytest.raises(ValueError):
         dk.welch_t([2, 2, 2], [3, 3, 3])
+    with pytest.raises(ValueError, match="not finite"):
+        dk.welch_t([1e308, -1e308], [1e308, -1e308])
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12),

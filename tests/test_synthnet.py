@@ -29,6 +29,15 @@ def test_generated_corpora_validate_clean():
     assert validate(merged).empty
 
 
+def test_fox8_preset_validates_both_parameter_sets_before_generating(monkeypatch):
+    monkeypatch.setattr(sn, "generate_botnet",
+                        lambda params: pytest.fail("generated before validating"))
+    with pytest.raises(ValueError, match="n_humans"):
+        sn.fox8_preset(seed=1, n_bots=30, n_humans=-1)
+    with pytest.raises(ValueError, match="min_tweets"):
+        sn.fox8_preset(seed=1, n_bots=30, bot_fields={"min_tweets": 0})
+
+
 def test_unsatisfiable_degree_errors():
     with pytest.raises(ValueError, match="unsatisfiable"):
         sn.generate_botnet(sn.BotnetParams(n_bots=5, follow_degree_mean=10.0, rng_seed=0))
