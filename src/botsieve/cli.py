@@ -20,9 +20,9 @@ import sys
 from pathlib import Path
 
 from . import contentstats, detectkit, graphlab, linkmap, seedscan, synthnet
-from .corpus import (ACCOUNTS_FILE, EDGES_FILE, LABELS_FILE, TWEETS_FILE,
-                     Corpus, CorpusError, GroupPartition, cap_tweets,
-                     export_corpus, load_corpus, validate)
+from .corpus import (ACCOUNTS_FILE, EDGES_FILE, LABELS_FILE, TWEETS_FILE, Corpus,
+                     GroupPartition, _csv_records, _text_lines, cap_tweets, export_corpus,
+                     load_corpus, validate)
 
 SUBCOMMANDS = ("ingest", "scan-phrases", "expand-domains", "graph-stats",
                "content-stats", "score", "sweep", "ttest", "synth", "report")
@@ -214,24 +214,20 @@ def _group_members(corpus: Corpus, name: str | None):
 
 
 def _read_scores_csv(path: Path) -> list[tuple[float, str]]:
-    """Rows of a value,label CSV; a non-finite value or a label other than
-    bot/human is a data error at its line."""
+    """Rows of a value,label CSV; a row without a finite value and a label
+    of bot or human is a data error at its line."""
     labels = (detectkit.BOT_LABEL, detectkit.HUMAN_LABEL)
     scores = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"value", "label"} <= set(reader.fieldnames):
-            raise DataError(f"{path}: header must contain value,label")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                value = float(row["value"])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad score row ({exc})") from exc
-            label = (row["label"] or "").strip()
-            if not math.isfinite(value) or label not in labels:
-                raise DataError(f"{path}:{lineno}: need a finite value and a label in "
-                                f"{labels}, got {row['value']!r},{label!r}")
-            scores.append((value, label))
+    for lineno, row in _csv_records(path, ("value", "label")):
+        try:
+            value = float(row["value"])
+        except (KeyError, ValueError):
+            value = math.nan
+        label = row.get("label", "").strip()
+        if not math.isfinite(value) or label not in labels:
+            raise DataError(f"{path}:{lineno}: need a finite value and a label in "
+                            f"{labels}, got {row.get('value')!r},{label!r}")
+        scores.append((value, label))
     return scores
 
 
@@ -480,10 +476,7 @@ def _read_params_file(path: Path) -> tuple[dict, dict]:
     defaults = tuple({f.name: f.default for f in dataclasses.fields(cls)}
                      for cls in (synthnet.BotnetParams, synthnet.HumanParams))
     fields: tuple[dict, dict] = ({}, {})
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _text_lines(path):
         key, sep, value = line.partition("=")
         if not sep:
             raise DataError(f"{path}:{lineno}: expected key = value")
@@ -694,7 +687,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, CorpusError, ValueError, LookupError) as exc:
+    except (DataError, ValueError, LookupError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SystemExit:

@@ -27,8 +27,8 @@ LABELS_FILE = "labels.csv"
 MALFORMED_FATAL_FRACTION = 0.10
 
 
-class CorpusError(Exception):
-    """Fatal ingestion problem: unreadable file, duplicate id, broken schema."""
+class CorpusError(ValueError):
+    """Fatal input problem: unreadable file, duplicate id, broken schema."""
 
 
 def parse_instant(value) -> datetime:
@@ -216,13 +216,21 @@ class _RecordError(Exception):
         self.detail = detail
 
 
-def _as_id(obj, key) -> str:
+def _optional_id(obj, key) -> str | None:
+    """A string or integer identifier (not a boolean); None when absent or blank."""
     value = obj.get(key)
-    if value is None or (isinstance(value, str) and not value.strip()):
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise _RecordError(f"bad-field:{key}", f"expected identifier, got {type(value).__name__}")
+    return str(value).strip() or None
+
+
+def _as_id(obj, key) -> str:
+    value = _optional_id(obj, key)
+    if value is None:
         raise _RecordError(f"missing-field:{key}")
-    if isinstance(value, (str, int)):
-        return str(value).strip()
-    raise _RecordError(f"bad-field:{key}", f"expected identifier, got {type(value).__name__}")
+    return value
 
 
 def _as_count(obj, key) -> int:
@@ -256,13 +264,6 @@ def _parse_account(obj) -> Account:
         tweet_count=_as_count(obj, "tweet_count"),
         description=str(obj.get("description", "") or ""),
     )
-
-
-def _optional_id(obj, key) -> str | None:
-    value = obj.get(key)
-    if value is None or value == "":
-        return None
-    return str(value).strip() or None
 
 
 def _parse_tweet(obj) -> Tweet:
@@ -350,6 +351,16 @@ def _load_jsonl_records(path: Path, parse, aliases, violations):
     return records
 
 
+def _text_lines(path):
+    """(line, text) for each line of a list or settings file that is neither
+    blank nor a #-comment; a line that is not UTF-8 is an error at path:line."""
+    for lineno, text in _iter_lines(Path(path)):
+        if text is None:
+            raise CorpusError(f"{path}:{lineno}: not UTF-8")
+        if not text.startswith("#"):
+            yield lineno, text
+
+
 def _csv_row(text: str | None) -> list[str]:
     """One CSV record on one line; [] when the line is not UTF-8 (None) or not CSV."""
     try:
@@ -358,17 +369,21 @@ def _csv_row(text: str | None) -> list[str]:
         return []
 
 
+def _csv_records(path, required: tuple[str, ...]):
+    """(line, {column: value}) for each line after a header that names every
+    ``required`` column; the dict is empty when a line is not UTF-8 or not CSV."""
+    lines = _iter_lines(Path(path))
+    fields = _csv_row(next(lines, (None, None))[1])
+    if not set(required) <= set(fields):
+        raise CorpusError(f"{path}: header must contain {','.join(required)}")
+    return ((lineno, dict(zip(fields, _csv_row(text)))) for lineno, text in lines)
+
+
 def _load_labels(path: Path, known_accounts, violations) -> GroupPartition:
     fname = path.name
     groups: dict[str, set[str]] = {}
     assigned: dict[str, str] = {}
-    lines = _iter_lines(path)
-    _, header = next(lines, (None, None))
-    fields = _csv_row(header)
-    if not {"account_id", "group_name"} <= set(fields):
-        raise CorpusError(f"{fname}: header must contain account_id,group_name")
-    for lineno, text in lines:
-        row = dict(zip(fields, _csv_row(text)))
+    for lineno, row in _csv_records(path, ("account_id", "group_name")):
         account_id = row.get("account_id", "").strip()
         group = row.get("group_name", "").strip()
         if not account_id or not group:

@@ -22,9 +22,8 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
-from .corpus import Corpus
+from .corpus import Corpus, _iter_lines
 
 # ---------------------------------------------------------------------------
 # Qualification and preprocessing
@@ -122,8 +121,9 @@ class StubDetector(TextDetector):
 class ReplayDetector(TextDetector):
     """Scores looked up from a recorded fixture, keyed by text digest.
 
-    The fixture is JSONL with records {"text_digest", "score"}; digests are
-    produced by :func:`text_digest`. Unknown texts raise LookupError.
+    The fixture is JSONL with records {"text_digest": string, "score": finite
+    number}; digests are produced by :func:`text_digest`. A line that is not
+    such a record is an error at path:line; unknown texts raise LookupError.
     """
 
     def __init__(self, scores: dict[str, float], score_scale=OPENAI_STYLE_SCALE,
@@ -135,12 +135,18 @@ class ReplayDetector(TextDetector):
     @classmethod
     def from_file(cls, path, score_scale=OPENAI_STYLE_SCALE) -> "ReplayDetector":
         scores = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                scores[obj["text_digest"]] = float(obj["score"])
+        for lineno, text in _iter_lines(Path(path)):
+            try:
+                obj = json.loads(text)
+                digest, score = obj["text_digest"], obj["score"]
+                valid = (isinstance(digest, str) and not isinstance(score, bool)
+                         and isinstance(score, (int, float)) and math.isfinite(score))
+            except (TypeError, ValueError, LookupError, RecursionError, OverflowError):
+                valid = False
+            if not valid:
+                raise ValueError(f"{path}:{lineno}: expected a record "
+                                 '{"text_digest": string, "score": finite number}')
+            scores[digest] = float(score)
         return cls(scores, score_scale=score_scale)
 
     def score(self, text: str) -> float:
@@ -403,19 +409,24 @@ def welch_t(sample_a, sample_b) -> WelchResult:
     b = np.asarray(list(sample_b), dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
-    var_a = float(a.var(ddof=1))
-    var_b = float(b.var(ddof=1))
+    # Huge finite samples overflow here; the finiteness check below rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_a, var_a = float(a.mean()), float(a.var(ddof=1))
+        mean_b, var_b = float(b.mean()), float(b.var(ddof=1))
     sa = var_a / len(a)
     sb = var_b / len(b)
     if sa + sb == 0.0:
         raise ValueError("degenerate samples: combined variance is zero")
-    t = (float(a.mean()) - float(b.mean())) / np.sqrt(sa + sb)
+    t = (mean_a - mean_b) / math.sqrt(sa + sb)
     # Weights instead of raw squared errors so subnormal variances cannot
     # underflow the Welch-Satterthwaite denominator.
     wa = sa / (sa + sb)
     wb = sb / (sa + sb)
     df = 1.0 / (wa**2 / (len(a) - 1) + wb**2 / (len(b) - 1))
-    p = float(2.0 * _scipy_stats.t.sf(abs(t), df))
+    # The t survival function as scipy.stats.t.sf computes it, imported here
+    # because loading scipy costs every CLI run a large share of its start-up.
+    from scipy.special import stdtr
+    p = float(2.0 * stdtr(df, -abs(t)))
     if not all(math.isfinite(v) for v in (t, df, p)):
         raise ValueError(f"Welch statistics are not finite (t={t}, df={df}, p={p})")
     return WelchResult(t=float(t), df=float(df), p=p)

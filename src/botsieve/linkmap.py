@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
-from .corpus import Corpus, Tweet
+from .corpus import Corpus, Tweet, _text_lines
 
 DEFAULT_SEED_DOMAINS = ("fox8.news", "cryptnomics.org", "globaleconomics.news")
 
@@ -135,8 +134,4 @@ def domain_share_profiles(corpus: Corpus, group, targets) -> DomainShareReport:
 
 def load_seed_domains(path) -> tuple[str, ...]:
     """Read seeds.txt: one domain per line, blank lines and #-comments skipped."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return tuple(
-        normalize_domain_name(line) for line in lines
-        if line.strip() and not line.lstrip().startswith("#")
-    )
+    return tuple(normalize_domain_name(text) for _, text in _text_lines(path))

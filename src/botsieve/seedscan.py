@@ -8,13 +8,11 @@ taxonomy of refusal categories using an ordered, first-match-wins ruleset.
 
 from __future__ import annotations
 
-import csv
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from .corpus import Corpus
+from .corpus import Corpus, _csv_records, _text_lines
 
 # Zero-width / invisible code points stripped before matching.
 _ZERO_WIDTH = dict.fromkeys(map(ord, "​‌‍⁠﻿"))
@@ -143,29 +141,26 @@ def category_summary(tweet_ids, corpus: Corpus,
 
 def load_phrases(path) -> PhraseQuery:
     """Read phrases.txt: one phrase per line, blank lines and #-comments skipped."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    phrases = tuple(
-        line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")
-    )
-    return PhraseQuery(phrases)
+    return PhraseQuery(tuple(text for _, text in _text_lines(path)))
 
 
 def load_ruleset(path) -> CategoryRuleset:
-    """Read category_rules.csv (priority,category,trigger) into an ordered ruleset."""
+    """Read category_rules.csv (priority,category,trigger) into an ordered ruleset;
+    a row without an integer priority, a known category and a trigger is an
+    error at path:line."""
     by_category: dict[SelfRevealCategory, tuple[int, list[str]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"priority", "category", "trigger"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: header must contain priority,category,trigger")
-        for row in reader:
+    for lineno, row in _csv_records(path, ("priority", "category", "trigger")):
+        try:
             priority = int(row["priority"])
             category = SelfRevealCategory(row["category"].strip())
             trigger = row["trigger"]
-            if category in by_category:
-                prio, triggers = by_category[category]
-                by_category[category] = (min(prio, priority), triggers + [trigger])
-            else:
-                by_category[category] = (priority, [trigger])
+        except (KeyError, ValueError):
+            trigger = ""
+        if not trigger:
+            raise ValueError(f"{path}:{lineno}: a rule row needs an integer priority, "
+                             "a known category and a non-empty trigger")
+        prio, triggers = by_category.get(category, (priority, []))
+        by_category[category] = (min(prio, priority), triggers + [trigger])
     ordered = sorted(by_category.items(), key=lambda item: item[1][0])
     return CategoryRuleset(tuple(
         (category, tuple(triggers)) for category, (_, triggers) in ordered

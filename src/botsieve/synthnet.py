@@ -205,15 +205,64 @@ def _compensated_mix_means(means, sds, iterations: int = 200) -> np.ndarray:
 
 
 def _clipped_normal(rng, mean, sd, size, low=0.0, high=None) -> np.ndarray:
-    draws = rng.normal(mean, sd, size)
-    return np.clip(draws, low, high)
+    return np.clip(rng.normal(mean, sd, size), low, high)
 
 
-def _decode_pair(code: int, n: int) -> tuple[int, int]:
-    # Ordered pairs (u, v), u != v, enumerated as u * (n - 1) + slot.
-    u, slot = divmod(code, n - 1)
-    v = slot if slot < u else slot + 1
-    return u, v
+def _partner(u: int, slot: int) -> int:
+    # Slots 0..n-2 number the accounts other than u, so the ordered pairs
+    # (u, v), u != v, are enumerated as u * (n - 1) + slot.
+    return slot if slot < u else slot + 1
+
+
+def _assemble(ids, years, created_on, descriptions, followers, following, kind_counts,
+              quote_counts, content, seconds=0):
+    """Account and Tweet records for one population.
+
+    Each account's tweets run original, reply, retweet, quote. Tweet t, a
+    running index over the population, is stamped ``_EPOCH`` plus t minutes
+    and ``seconds``. ``content(t, u, kind, nth)`` gives account u's nth tweet
+    of its kind as (text, urls, hashtags, target, language); the target
+    becomes the reply or reference target by kind, and a retweet's text gets
+    the ``RT @<target>: `` prefix.
+    """
+    accounts = []
+    tweets = []
+    t = 0
+    for u, account_id in enumerate(ids):
+        n_orig, n_reply, n_rtq = (int(c) for c in kind_counts[u])
+        n_quote = min(int(quote_counts[u]), n_rtq)
+        accounts.append(Account(
+            account_id=account_id,
+            handle=f"user_{account_id}",
+            created_at=datetime(int(years[u]), *created_on, tzinfo=timezone.utc)
+            + timedelta(hours=u % 24),
+            follower_count=int(followers[u]),
+            following_count=int(following[u]),
+            tweet_count=n_orig + n_reply + n_rtq,
+            description=descriptions[u % len(descriptions)],
+        ))
+        local = 0
+        for kind, count in zip(("original", "reply", "retweet", "quote"),
+                               (n_orig, n_reply, n_rtq - n_quote, n_quote)):
+            for nth in range(count):
+                text, urls, hashtags, target, language = content(t, u, kind, nth)
+                if kind == "retweet":
+                    text = f"RT @{target}: {text}"
+                tweets.append(Tweet(
+                    tweet_id=f"{account_id}-t{local:05d}",
+                    author_id=account_id,
+                    created_at=_EPOCH + timedelta(minutes=t, seconds=seconds),
+                    text=text,
+                    kind=kind,
+                    in_reply_to_account=target if kind == "reply" else None,
+                    referenced_account=target if kind in ("retweet", "quote") else None,
+                    hashtags=hashtags,
+                    urls=urls,
+                    language=language,
+                ))
+                t += 1
+                local += 1
+    return accounts, tweets
 
 
 def generate_botnet(params: BotnetParams = BotnetParams()) -> Corpus:
@@ -251,8 +300,7 @@ def generate_botnet(params: BotnetParams = BotnetParams()) -> Corpus:
     for u in range(n):
         targets = rng.choice(n - 1, size=degrees[u], replace=False)
         for slot in sorted(int(t) for t in targets):
-            v = slot if slot < u else slot + 1
-            edges.append(FollowEdge(source=ids[u], target=ids[v]))
+            edges.append(FollowEdge(source=ids[u], target=ids[_partner(u, slot)]))
 
     mix_means = _compensated_mix_means(params.tweet_mix_means, params.tweet_mix_sds)
     mix = _clipped_normal(rng, mix_means, params.tweet_mix_sds, (n, 3))
@@ -269,8 +317,8 @@ def generate_botnet(params: BotnetParams = BotnetParams()) -> Corpus:
     if n_pairs:
         codes = rng.choice(pair_space, size=n_pairs, replace=False)
         for code in sorted(int(c) for c in codes):
-            u, v = _decode_pair(code, n)
-            planted[u].append(v)
+            u, slot = divmod(code, n - 1)
+            planted[u].append(_partner(u, slot))
     # Planted replies consume the account's reply allotment, growing it when
     # the plant alone exceeds the draw.
     kind_counts[:, 1] = np.maximum(kind_counts[:, 1], [len(planted[u]) for u in range(n)])
@@ -294,66 +342,26 @@ def generate_botnet(params: BotnetParams = BotnetParams()) -> Corpus:
     lang_roll = rng.random(total)
     filler_share = min(0.04, 1.0 - params.seed_domain_share)
 
-    accounts = []
-    tweets = []
-    cursor = 0
-    for u in range(n):
-        accounts.append(Account(
-            account_id=ids[u],
-            handle=f"user_{ids[u]}",
-            created_at=datetime(int(years[u]), 3, 7, tzinfo=timezone.utc) + timedelta(hours=u % 24),
-            follower_count=int(followers[u]),
-            following_count=int(following[u]),
-            tweet_count=int(kind_counts[u].sum()),
-            description=_BOT_DESCRIPTIONS[u % len(_BOT_DESCRIPTIONS)],
-        ))
-        n_orig, n_reply, n_rtq = (int(c) for c in kind_counts[u])
-        n_quote = min(int(quote_counts[u]), n_rtq)
-        kinds = (["original"] * n_orig + ["reply"] * n_reply
-                 + ["retweet"] * (n_rtq - n_quote) + ["quote"] * n_quote)
-        reply_seen = 0
-        for local, kind in enumerate(kinds):
-            t = cursor
-            cursor += 1
-            base = _BOT_TEXT_TEMPLATES[template_idx[t]].format(topic=_BOT_TOPICS[topic_idx[t]])
-            if reveal_mask[t]:
-                _, _, reveal = SELF_REVEAL_EXAMPLES[reveal_template[t]]
-                base = reveal + _REVEAL_SUFFIXES[reveal_suffix[t]]
-            urls: tuple[str, ...] = ()
-            if url_roll[t] < params.seed_domain_share:
-                urls = (f"https://www.{params.seed_domains[seed_idx[t]]}/post/{t}",)
-            elif url_roll[t] < params.seed_domain_share + filler_share:
-                urls = (f"https://{_FILLER_DOMAINS[filler_idx[t]]}/article/{t}",)
-            tags = []
-            if tag_count[t] >= 1:
-                tags.append(_BOT_HASHTAGS[tag_first[t]])
-            if tag_count[t] == 2 and _BOT_HASHTAGS[tag_second[t]] not in tags:
-                tags.append(_BOT_HASHTAGS[tag_second[t]])
-            in_reply_to = None
-            referenced = None
-            if kind == "reply":
-                if reply_seen < len(planted[u]):
-                    in_reply_to = ids[planted[u][reply_seen]]
-                else:
-                    in_reply_to = _OUTSIDE_POOL[outside_idx[t]]
-                reply_seen += 1
-            elif kind in ("retweet", "quote"):
-                referenced = _OUTSIDE_POOL[outside_idx[t]]
-                if kind == "retweet":
-                    base = f"RT @{referenced}: {base}"
-            tweets.append(Tweet(
-                tweet_id=f"{ids[u]}-t{local:05d}",
-                author_id=ids[u],
-                created_at=_EPOCH + timedelta(minutes=t),
-                text=base,
-                kind=kind,
-                in_reply_to_account=in_reply_to,
-                referenced_account=referenced,
-                hashtags=tuple(tags),
-                urls=urls,
-                language="en" if lang_roll[t] >= 0.02 else "es",
-            ))
+    def content(t, u, kind, nth):
+        text = _BOT_TEXT_TEMPLATES[template_idx[t]].format(topic=_BOT_TOPICS[topic_idx[t]])
+        if reveal_mask[t]:
+            text = SELF_REVEAL_EXAMPLES[reveal_template[t]][2] + _REVEAL_SUFFIXES[reveal_suffix[t]]
+        urls: tuple[str, ...] = ()
+        if url_roll[t] < params.seed_domain_share:
+            urls = (f"https://www.{params.seed_domains[seed_idx[t]]}/post/{t}",)
+        elif url_roll[t] < params.seed_domain_share + filler_share:
+            urls = (f"https://{_FILLER_DOMAINS[filler_idx[t]]}/article/{t}",)
+        tags = (_BOT_HASHTAGS[tag_first[t]],) if tag_count[t] >= 1 else ()
+        if tag_count[t] == 2 and _BOT_HASHTAGS[tag_second[t]] not in tags:
+            tags += (_BOT_HASHTAGS[tag_second[t]],)
+        if kind == "reply" and nth < len(planted[u]):
+            target = ids[planted[u][nth]]
+        else:
+            target = _OUTSIDE_POOL[outside_idx[t]]
+        return text, urls, tags, target, "en" if lang_roll[t] >= 0.02 else "es"
 
+    accounts, tweets = _assemble(ids, years, (3, 7), _BOT_DESCRIPTIONS, followers, following,
+                                 kind_counts, quote_counts, content)
     partition = GroupPartition({params.group_label: frozenset(ids)})
     return make_corpus(accounts, tweets, edges, partition)
 
@@ -384,50 +392,14 @@ def generate_humans(params: HumanParams = HumanParams()) -> Corpus:
     tag_idx = rng.integers(0, len(_HUMAN_HASHTAGS), total)
     outside_idx = rng.choice(len(_OUTSIDE_POOL), size=total, p=_OUTSIDE_WEIGHTS)
 
-    accounts = []
-    tweets = []
-    cursor = 0
-    for u in range(n):
-        accounts.append(Account(
-            account_id=ids[u],
-            handle=f"user_{ids[u]}",
-            created_at=datetime(int(years[u]), 6, 15, tzinfo=timezone.utc) + timedelta(hours=u % 24),
-            follower_count=int(followers[u]),
-            following_count=int(following[u]),
-            tweet_count=int(kind_counts[u].sum()),
-            description="",
-        ))
-        n_orig, n_reply, n_rtq = (int(c) for c in kind_counts[u])
-        n_quote = min(int(quote_counts[u]), n_rtq)
-        kinds = (["original"] * n_orig + ["reply"] * n_reply
-                 + ["retweet"] * (n_rtq - n_quote) + ["quote"] * n_quote)
-        for local, kind in enumerate(kinds):
-            t = cursor
-            cursor += 1
-            text = _HUMAN_TEXT_TEMPLATES[template_idx[t]].format(topic=_HUMAN_TOPICS[topic_idx[t]])
-            urls = (f"https://{_FILLER_DOMAINS[filler_idx[t]]}/story/{t}",) if url_roll[t] < 0.10 else ()
-            tags = (_HUMAN_HASHTAGS[tag_idx[t]],) if tag_roll[t] < 0.25 else ()
-            in_reply_to = None
-            referenced = None
-            if kind == "reply":
-                in_reply_to = _OUTSIDE_POOL[outside_idx[t]]
-            elif kind in ("retweet", "quote"):
-                referenced = _OUTSIDE_POOL[outside_idx[t]]
-                if kind == "retweet":
-                    text = f"RT @{referenced}: {text}"
-            tweets.append(Tweet(
-                tweet_id=f"{ids[u]}-t{local:05d}",
-                author_id=ids[u],
-                created_at=_EPOCH + timedelta(minutes=t, seconds=30),
-                text=text,
-                kind=kind,
-                in_reply_to_account=in_reply_to,
-                referenced_account=referenced,
-                hashtags=tags,
-                urls=urls,
-                language="en",
-            ))
+    def content(t, u, kind, nth):
+        text = _HUMAN_TEXT_TEMPLATES[template_idx[t]].format(topic=_HUMAN_TOPICS[topic_idx[t]])
+        urls = (f"https://{_FILLER_DOMAINS[filler_idx[t]]}/story/{t}",) if url_roll[t] < 0.10 else ()
+        tags = (_HUMAN_HASHTAGS[tag_idx[t]],) if tag_roll[t] < 0.25 else ()
+        return text, urls, tags, _OUTSIDE_POOL[outside_idx[t]], "en"
 
+    accounts, tweets = _assemble(ids, years, (6, 15), ("",), followers, following,
+                                 kind_counts, quote_counts, content, seconds=30)
     partition = GroupPartition({params.group_label: frozenset(ids)})
     return make_corpus(accounts, tweets, [], partition)
 
@@ -452,11 +424,14 @@ def fox8_preset(seed: int = 0, n_bots: int = 1140, n_humans: int = 1140,
     ``bot_fields`` and ``human_fields`` set BotnetParams and HumanParams
     fields by name and win over the arguments. The humans draw from the
     botnet's seed + 1 unless ``human_fields`` sets their ``rng_seed``. Both
-    parameter sets are validated before anything is generated.
+    parameter sets are validated, and bots and humans must carry different
+    group labels, before anything is generated.
     """
     bot_params = BotnetParams(**{"n_bots": n_bots, "rng_seed": seed, **(bot_fields or {})})
     human_params = HumanParams(**{"n_humans": n_humans, "rng_seed": bot_params.rng_seed + 1,
                                   **(human_fields or {})})
+    if human_params.n_humans and human_params.group_label == bot_params.group_label:
+        raise ValueError(f"bots and humans share the group label {bot_params.group_label!r}")
     botnet = generate_botnet(bot_params)
     if human_params.n_humans == 0:
         return botnet

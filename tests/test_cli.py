@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botsieve import synthnet
-from botsieve.cli import run
+from botsieve.cli import DataError, _read_params_file, run
 from botsieve.corpus import Account, FollowEdge, Tweet, export_corpus
 from conftest import account, corpus_of, tweet
 
@@ -412,3 +415,107 @@ def test_fuzzed_corpus_lines_exit_0_1_or_2(tiny_dir, name, lines):
             code = run(["--json", command, "--corpus-dir", str(corpus_dir),
                         "--out", str(Path(tmp) / "out")])
             assert code in (0, 1, 2), (command, lines)
+
+
+def test_shared_group_label_makes_synth_exit_2_and_write_nothing(capsys, tmp_path):
+    params = tmp_path / "gen.conf"
+    params.write_text("n_bots = 6\nn_humans = 3\nfollow_degree_mean = 2\ngroup_label = human\n")
+    out = tmp_path / "o"
+    assert run(["synth", "--params", str(params), "--out", str(out)]) == 2
+    assert "group label 'human'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, botsieve.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+AUX_FILES = {
+    # name: (valid contents, subcommand arguments with {path} for the file)
+    "rules.csv": (b"priority,category,trigger\n1,harmful_content,content policy\n",
+                  ["scan-phrases", "--rules", "{path}"]),
+    "phrases.txt": (b"# phrases\nas an ai language model\n",
+                    ["scan-phrases", "--phrases", "{path}"]),
+    "seeds.txt": (b"fox8.news\n", ["expand-domains", "--seeds", "{path}"]),
+    "replay.jsonl": (b'{"text_digest": "ab", "score": 1.5}\n',
+                     ["score", "--detector", "replay", "--replay-file", "{path}"]),
+    "scores.csv": (b"value,label\n50,bot\n51,bot\n52,bot\n40,human\n41,human\n42,human\n",
+                   ["sweep", "--scores", "{path}"]),
+}
+
+
+def _aux_argv(tiny_dir, name, path, out):
+    argv = [part.format(path=path) for part in AUX_FILES[name][1]]
+    if argv[0] not in ("sweep", "ttest"):
+        argv += ["--corpus-dir", str(tiny_dir)]
+    return argv + ["--out", str(out)]
+
+
+@pytest.mark.parametrize("name,line", [
+    ("rules.csv", b"2,beyond_capability"),
+    ("rules.csv", b"2,beyond_capability,"),
+    ("rules.csv", b"x,beyond_capability,cannot browse"),
+    ("rules.csv", b"2,no_such_category,cannot browse"),
+    ("rules.csv", b"2,beyond_capability,cannot \xff browse"),
+    ("phrases.txt", b"as an \xff ai"),
+    ("seeds.txt", b"fox8\xff.news"),
+    ("scores.csv", b"51,bot\xff"),
+    ("replay.jsonl", b"[1]"),
+    ("replay.jsonl", b'"ab"'),
+    ("replay.jsonl", b'{"text_digest": 7, "score": 1.5}'),
+    ("replay.jsonl", b'{"text_digest": "ab", "score": NaN}'),
+    ("replay.jsonl", b'{"text_digest": "ab", "score": 1e999}'),
+    ("replay.jsonl", b'{"text_digest": "ab", "score": "1.5"}'),
+    ("replay.jsonl", b'{"text_digest": "ab"}'),
+    ("replay.jsonl", b"\xff"),
+])
+def test_bad_auxiliary_line_is_a_located_data_error(capsys, tiny_dir, tmp_path, name, line):
+    path = tmp_path / name
+    valid = AUX_FILES[name][0]
+    path.write_bytes(valid + line + b"\n")
+    assert run(_aux_argv(tiny_dir, name, path, tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert f"{path}:{len(valid.splitlines()) + 1}:" in err
+
+
+def test_non_utf8_params_line_is_located(capsys, tmp_path):
+    params = tmp_path / "gen.conf"
+    params.write_bytes(b"n_bots = 12\nn_humans = \xff2\n")
+    assert run(["synth", "--params", str(params), "--out", str(tmp_path / "o")]) == 2
+    assert f"{params}:2:" in capsys.readouterr().err
+
+
+AUX_LINES = (st.binary(max_size=40)
+             | st.lists(st.text(max_size=6), min_size=1, max_size=4).map(
+                 lambda row: ",".join(row).encode())
+             | st.dictionaries(st.sampled_from(("text_digest", "score")), JSON_VALUES,
+                               max_size=2).map(lambda o: json.dumps(o).encode()))
+
+
+@given(name=st.sampled_from((*AUX_FILES, "params.conf")),
+       lines=st.lists(AUX_LINES, min_size=1, max_size=4))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_fuzzed_auxiliary_lines_exit_0_1_or_2(tiny_dir, name, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        valid = AUX_FILES[name][0] if name in AUX_FILES else b"n_bots = 4\n"
+        path.write_bytes(valid + b"".join(line + b"\n" for line in lines))
+        if name == "params.conf":
+            # Only the reader: a fuzzed file may ask synth for any corpus size.
+            try:
+                _read_params_file(path)
+            except (DataError, ValueError):
+                pass
+            return
+        argv = _aux_argv(tiny_dir, name, path, Path(tmp) / "out")
+        commands = [argv, ["ttest", *argv[1:]]] if name == "scores.csv" else [argv]
+        for command in commands:
+            assert run(["--json", *command]) in (0, 1, 2), (command, lines)

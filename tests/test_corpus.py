@@ -288,6 +288,38 @@ def test_non_string_kind_is_bad_kind(tmp_path):
     assert [(v.rule, v.line) for v in corpus.load_report] == [("bad-kind", 4)]
 
 
+def test_boolean_account_id_is_a_bad_field(tmp_path):
+    accounts = [*ACCOUNT_LINES, {**ACCOUNT_LINES[0], "account_id": True}]
+    paths = write_corpus_files(tmp_path, accounts=accounts)
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"])
+    assert "True" not in corpus.accounts
+    assert [(v.rule, v.line) for v in corpus.load_report] == [("bad-field:account_id", 3)]
+
+
+@pytest.mark.parametrize("key,value", [("in_reply_to_account", ["b"]),
+                                       ("in_reply_to_account", False),
+                                       ("referenced_account", {"id": "a1"}),
+                                       ("referenced_account", 1.5)])
+def test_non_identifier_target_is_a_bad_field(tmp_path, key, value):
+    tweets = [*TWEET_LINES, {**TWEET_LINES[0], "tweet_id": "t4", key: value}]
+    paths = write_corpus_files(tmp_path, tweets=tweets)
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"])
+    assert "t4" not in corpus.tweets
+    assert [(v.rule, v.line) for v in corpus.load_report] == [(f"bad-field:{key}", 4)]
+
+
+def test_integer_and_blank_targets_keep_their_meaning(tmp_path):
+    tweets = [{**TWEET_LINES[1], "in_reply_to_account": 7},
+              {**TWEET_LINES[2], "referenced_account": "  a1 "},
+              {**TWEET_LINES[0], "tweet_id": "t4", "in_reply_to_account": "  "}]
+    paths = write_corpus_files(tmp_path, tweets=tweets)
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"])
+    assert corpus.load_report.empty
+    assert corpus.tweets["t2"].in_reply_to_account == "7"
+    assert corpus.tweets["t3"].referenced_account == "a1"
+    assert corpus.tweets["t4"].in_reply_to_account is None
+
+
 def test_cap_tweets_keeps_most_recent():
     tweets = [tweet(f"t{i}", "a1", created=f"2023-01-0{i}T00:00:00Z") for i in range(1, 6)]
     corpus = corpus_of([account("a1")], tweets)

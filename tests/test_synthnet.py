@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,53 @@ def test_fox8_preset_validates_both_parameter_sets_before_generating(monkeypatch
         sn.fox8_preset(seed=1, n_bots=30, n_humans=-1)
     with pytest.raises(ValueError, match="min_tweets"):
         sn.fox8_preset(seed=1, n_bots=30, bot_fields={"min_tweets": 0})
+
+
+def test_fox8_preset_rejects_a_shared_group_label(monkeypatch):
+    monkeypatch.setattr(sn, "generate_botnet",
+                        lambda params: pytest.fail("generated before validating"))
+    with pytest.raises(ValueError, match="group label 'human'"):
+        sn.fox8_preset(seed=1, n_bots=6, n_humans=3, bot_fields={"group_label": "human"})
+    with pytest.raises(ValueError, match="group label 'bot'"):
+        sn.fox8_preset(seed=1, n_bots=6, n_humans=3, human_fields={"group_label": "bot"})
+
+
+def test_shared_group_label_is_allowed_without_humans():
+    corpus = sn.fox8_preset(seed=1, n_bots=6, n_humans=0,
+                            bot_fields={"group_label": "human", "follow_degree_mean": 2.0})
+    assert corpus.partition.names == ("human",)
+
+
+# SHA-256 of each exported file of fox8_preset(seed=3, n_bots=40, n_humans=30).
+# Generation is a pure function of the parameters, so any change to the
+# random draws or to how they become records shows here.
+PINNED_FOX8_SMALL = {
+    "accounts": "45efbfc23e614158537015889f5b34f10060833266564ed934c70a02ef88c1f8",
+    "tweets": "86fef3db5f8d43b0262936f1e795e2b94acdf055611468feda124e6efaa56cce",
+    "edges": "0a360745a5e691978b9dec0f5ab13a2719824ffe73d0c3af77e966c67b5f4c8f",
+    "labels": "02cc5b6addc62789f09e9bbc8d863282f53f7e4262de62d46018841e0e2697f9",
+}
+
+
+def test_generated_files_are_pinned(tmp_path):
+    paths = export_corpus(sn.fox8_preset(seed=3, n_bots=40, n_humans=30), tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == PINNED_FOX8_SMALL
+
+
+def test_planted_replies_come_first_and_the_rest_go_outside():
+    params = sn.BotnetParams(n_bots=30, within_reply_pair_rate=0.05, rng_seed=8)
+    corpus = sn.generate_botnet(params)
+    bots = corpus.partition["bot"]
+    planted = 0
+    for account_id in sorted(bots):
+        replies = [t for t in corpus.tweets_of(account_id) if t.kind == "reply"]
+        targets = [t.in_reply_to_account in bots for t in replies]
+        # In-group targets form a prefix of the account's replies.
+        assert targets == sorted(targets, reverse=True)
+        planted += sum(targets)
+    assert planted > 0
 
 
 def test_unsatisfiable_degree_errors():
