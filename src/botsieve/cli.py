@@ -80,6 +80,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Row builders shared by the single-stage subcommands and `report`, which
 # prefixes its edge_kind/group column onto the same rows.
@@ -670,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_positive_int, default=20)
     p.add_argument("--top", type=_positive_int, default=10)
     p.add_argument("--recall-scores", help="CSV with value,label for the recall harness")
-    p.add_argument("--recall-threshold", type=float, default=2.5)
+    p.add_argument("--recall-threshold", type=_finite_float, default=2.5)
     _add_detector_args(p)
 
     return parser

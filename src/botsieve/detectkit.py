@@ -122,8 +122,9 @@ class ReplayDetector(TextDetector):
     """Scores looked up from a recorded fixture, keyed by text digest.
 
     The fixture is JSONL with records {"text_digest": string, "score": finite
-    number}; digests are produced by :func:`text_digest`. A line that is not
-    such a record is an error at path:line; unknown texts raise LookupError.
+    number within score_scale}; digests are produced by :func:`text_digest`.
+    A line that is not such a record is an error at path:line; unknown texts
+    raise LookupError.
     """
 
     def __init__(self, scores: dict[str, float], score_scale=OPENAI_STYLE_SCALE,
@@ -134,18 +135,19 @@ class ReplayDetector(TextDetector):
 
     @classmethod
     def from_file(cls, path, score_scale=OPENAI_STYLE_SCALE) -> "ReplayDetector":
+        low, high = score_scale
         scores = {}
         for lineno, text in _iter_lines(Path(path)):
             try:
                 obj = json.loads(text)
                 digest, score = obj["text_digest"], obj["score"]
                 valid = (isinstance(digest, str) and not isinstance(score, bool)
-                         and isinstance(score, (int, float)) and math.isfinite(score))
+                         and isinstance(score, (int, float)) and low <= score <= high)
             except (TypeError, ValueError, LookupError, RecursionError, OverflowError):
                 valid = False
             if not valid:
                 raise ValueError(f"{path}:{lineno}: expected a record "
-                                 '{"text_digest": string, "score": finite number}')
+                                 f'{{"text_digest": string, "score": number in [{low}, {high}]}}')
             scores[digest] = float(score)
         return cls(scores, score_scale=score_scale)
 
@@ -219,11 +221,19 @@ class AccountScore:
     per_tweet_scores: tuple[float, ...]
 
 
+def _check_finite(scores, detector: TextDetector) -> None:
+    for score in scores:
+        if not math.isfinite(score):
+            raise ValueError(f"detector {detector.name!r} returned a non-finite score: {score!r}")
+
+
 def score_account(account_id: str, texts, detector: TextDetector) -> AccountScore | None:
-    """Average the detector over the account's texts; None when nothing qualifies."""
+    """Average the detector over the account's texts; None when nothing
+    qualifies. A non-finite detector output is a ValueError."""
     scores = [detector.score(text) for text in texts]
     if not scores:
         return None
+    _check_finite(scores, detector)
     return AccountScore(
         account_id=account_id,
         n_qualified=len(scores),
@@ -233,11 +243,14 @@ def score_account(account_id: str, texts, detector: TextDetector) -> AccountScor
 
 
 def concat_and_score(texts, detector: TextDetector, separator: str = "\n") -> float:
-    """Join texts and score the consolidated document once."""
+    """Join texts and score the consolidated document once; a non-finite
+    detector output is a ValueError."""
     texts = list(texts)
     if not texts:
         raise ValueError("need at least one text to concatenate")
-    return detector.score(separator.join(texts))
+    score = detector.score(separator.join(texts))
+    _check_finite([score], detector)
+    return score
 
 
 def score_corpus(corpus: Corpus, detector: TextDetector,
@@ -343,40 +356,35 @@ def split_labeled(scores) -> tuple[list[float], list[float]]:
     return bots, humans
 
 
-def _confusion_result(threshold, bot_values, human_values) -> ThresholdResult:
-    tp = int(np.count_nonzero(bot_values >= threshold))
-    fp = int(np.count_nonzero(human_values >= threshold))
-    fn = len(bot_values) - tp
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return ThresholdResult(threshold=float(threshold), f1=f1,
-                           precision=precision, recall=recall)
-
-
 def sweep_threshold(scores) -> SweepOutcome:
     """Find the F1-maximizing bot/human threshold (predict bot iff value >= t).
 
     Candidates are the midpoints between consecutive distinct score values
     plus one sentinel below and above everything, which covers every
-    achievable confusion matrix. Ties go to the smallest threshold.
+    achievable confusion matrix. Ties go to the smallest threshold. Both
+    label sets are sorted once and counted at every candidate by binary
+    search, so the sweep is O(N log N).
     """
     bots, humans = split_labeled(scores)
     if not bots or not humans:
         raise ValueError("need both bot- and human-labeled scores")
-    bot_values = np.array(bots)
-    human_values = np.array(humans)
+    bot_values = np.sort(bots)
+    human_values = np.sort(humans)
     distinct = np.unique(np.concatenate([bot_values, human_values]))
-    candidates = [float(distinct[0] - 1.0)]
-    candidates += [float(t) for t in (distinct[:-1] + distinct[1:]) / 2.0]
-    candidates.append(float(distinct[-1] + 1.0))
+    candidates = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0,
+                                 [distinct[-1] + 1.0]])
 
-    curve = tuple(_confusion_result(c, bot_values, human_values) for c in candidates)
-    best = curve[0]
-    for result in curve[1:]:
-        if result.f1 > best.f1:
-            best = result
-    return SweepOutcome(best=best, curve=curve)
+    # Values at or above each candidate; recall's denominator is len(bots) >= 1.
+    tp = len(bot_values) - np.searchsorted(bot_values, candidates, side="left")
+    fp = len(human_values) - np.searchsorted(human_values, candidates, side="left")
+    precision = np.divide(tp, tp + fp, out=np.zeros(len(candidates)), where=tp + fp > 0)
+    recall = tp / len(bot_values)
+    f1 = np.divide(2 * precision * recall, precision + recall,
+                   out=np.zeros(len(candidates)), where=precision + recall > 0)
+
+    curve = tuple(map(ThresholdResult, candidates.tolist(), f1.tolist(),
+                      precision.tolist(), recall.tolist()))
+    return SweepOutcome(best=curve[int(np.argmax(f1))], curve=curve)
 
 
 def recall_at(scores, threshold: float) -> float:

@@ -272,6 +272,8 @@ def test_tweet_cap_keeps_load_report(capsys, synth_dir, tmp_path):
     ["content-stats", "--resolution", "0"],
     ["score", "--min-qualified", "0"],
     ["ingest", "--tweet-cap", "0"],
+    ["report", "--recall-threshold", "nan"],
+    ["report", "--recall-threshold", "inf"],
 ])
 def test_non_positive_counts_are_usage_errors_before_loading(capsys, tmp_path, argv):
     missing = str(tmp_path / "no-such-corpus")
@@ -473,6 +475,7 @@ def _aux_argv(tiny_dir, name, path, out):
     ("replay.jsonl", b'{"text_digest": "ab", "score": NaN}'),
     ("replay.jsonl", b'{"text_digest": "ab", "score": 1e999}'),
     ("replay.jsonl", b'{"text_digest": "ab", "score": "1.5"}'),
+    ("replay.jsonl", b'{"text_digest": "ab", "score": 150.0}'),
     ("replay.jsonl", b'{"text_digest": "ab"}'),
     ("replay.jsonl", b"\xff"),
 ])

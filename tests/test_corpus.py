@@ -2,6 +2,8 @@ import json
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from botsieve import corpus as cp
 from conftest import account, corpus_of, tweet
@@ -158,6 +160,23 @@ def test_hashtags_normalized_at_load(tmp_path):
     paths = write_corpus_files(tmp_path)
     corpus = cp.load_corpus(paths["accounts"], paths["tweets"])
     assert corpus.tweets["t1"].hashtags == ("btc",)
+
+
+@pytest.mark.parametrize("raw,expected", [("# btc", "btc"), ("# #eth", "eth")])
+def test_spaced_hashtag_prefix_loads_normalized(tmp_path, raw, expected):
+    tweets = [{**TWEET_LINES[0], "hashtags": [raw]}, *TWEET_LINES[1:]]
+    paths = write_corpus_files(tmp_path, tweets=tweets)
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"], paths["edges"])
+    assert corpus.tweets["t1"].hashtags == (expected,)
+    assert cp.validate(corpus).empty
+    exported = cp.export_corpus(corpus, tmp_path / "roundtrip")
+    assert cp.load_corpus(exported["accounts"], exported["tweets"], exported["edges"]) == corpus
+
+
+@given(st.text(alphabet=st.sampled_from("#  \t\u3000\x85aAzZİΣς") | st.characters()))
+def test_normalize_hashtag_is_idempotent(tag):
+    once = cp.normalize_hashtag(tag)
+    assert cp.normalize_hashtag(once) == once
 
 
 def test_validate_clean(tmp_path):

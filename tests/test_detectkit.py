@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botsieve import detectkit as dk
+from botsieve.synthnet import simulate_scores
 from conftest import account, corpus_of, tweet
 
 # ---------------------------------------------------------------------------
@@ -168,6 +169,22 @@ def test_concat_and_score_replay_fixture():
     assert dk.concat_and_score(["a", "b"], detector) == 77.0
 
 
+class ConstantDetector(dk.TextDetector):
+    def __init__(self, value):
+        self.value = value
+
+    def score(self, text):
+        return self.value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_detector_output_is_rejected(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        dk.score_account("acct", ["a", "b"], ConstantDetector(value))
+    with pytest.raises(ValueError, match="non-finite"):
+        dk.concat_and_score(["a", "b"], ConstantDetector(value))
+
+
 def test_filter_min_qualified():
     scores = [
         dk.AccountScore("a", 1, 50.0, (50.0,)),
@@ -304,6 +321,56 @@ def test_sweep_tie_returns_smallest_threshold():
     assert len(ties) >= 2
     assert outcome.best.threshold == pytest.approx(3.0)
     assert outcome.best.f1 == pytest.approx(2 / 3)
+
+
+def counted_sweep(scores):
+    """The sweep by direct counting: every candidate compared with every value."""
+    bots = np.array([v for v, label in scores if label == "bot"])
+    humans = np.array([v for v, label in scores if label == "human"])
+    values = sorted({v for v, _ in scores})
+    candidates = ([values[0] - 1.0] + [(a + b) / 2.0 for a, b in zip(values, values[1:])]
+                  + [values[-1] + 1.0])
+    curve = []
+    for threshold in candidates:
+        tp = int(np.count_nonzero(bots >= threshold))
+        fp = int(np.count_nonzero(humans >= threshold))
+        fn = len(bots) - tp
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        curve.append(dk.ThresholdResult(threshold, f1, precision, recall))
+    best = curve[0]
+    for result in curve[1:]:
+        if result.f1 > best.f1:
+            best = result
+    return best, tuple(curve)
+
+
+def assert_sweep_equals_counting(scores):
+    best, curve = counted_sweep(scores)
+    outcome = dk.sweep_threshold(scores)
+    assert outcome.curve == curve
+    assert outcome.best == best
+
+
+def test_sweep_curve_equals_direct_counting_with_ties():
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(300):
+        # Few distinct values, two of them adjacent floats, so most rows tie.
+        pool = np.concatenate([rng.integers(0, 6, 4), rng.random(2), [0.3, 0.1 + 0.2]])
+        n = int(rng.integers(2, 60))
+        scores = [(float(rng.choice(pool)), "bot" if rng.random() < 0.5 else "human")
+                  for _ in range(n)]
+        if {label for _, label in scores} == {"bot", "human"}:
+            assert_sweep_equals_counting(scores)
+            checked += 1
+    assert checked > 250
+
+
+def test_sweep_curve_equals_direct_counting_on_simulated_scores():
+    scores = simulate_scores(n_bots=10_000, n_humans=10_000, rng_seed=3)
+    assert_sweep_equals_counting(scores)
 
 
 # ---------------------------------------------------------------------------
