@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, _iter_lines
+from .corpus import Corpus, Tweet, _iter_lines
 
 # ---------------------------------------------------------------------------
 # Qualification and preprocessing
@@ -61,21 +61,21 @@ def _is_english(language: str | None) -> bool:
     return language is not None and (language == "en" or language.startswith("en-"))
 
 
+def _kept_tweets(corpus: Corpus, account_id: str, rules: QualificationRules) -> list[Tweet]:
+    """The account's tweets that pass the retweet and language filters, in order."""
+    return [tweet for tweet in corpus.tweets_of(account_id)
+            if not (rules.exclude_retweets and tweet.kind == "retweet")
+            and not (rules.english_only and not _is_english(tweet.language))]
+
+
 def qualify_tweets(corpus: Corpus, account_id: str,
                    rules: QualificationRules = QualificationRules()) -> list[str]:
     """Processed texts of the account's qualified tweets (possibly empty)."""
     if account_id not in corpus.accounts:
         raise KeyError(f"unknown account: {account_id}")
-    texts = []
-    for tweet in corpus.tweets_of(account_id):
-        if rules.exclude_retweets and tweet.kind == "retweet":
-            continue
-        if rules.english_only and not _is_english(tweet.language):
-            continue
-        processed = process_text(tweet.text, tweet.kind, rules)
-        if processed:
-            texts.append(processed)
-    return texts
+    texts = (process_text(tweet.text, tweet.kind, rules)
+             for tweet in _kept_tweets(corpus, account_id, rules))
+    return [text for text in texts if text]
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,14 @@ def text_digest(text: str) -> str:
 
 
 class TextDetector:
-    """Interface: a named, deterministic text scorer with a declared range."""
+    """Interface: a named, deterministic text scorer with a declared range.
+
+    ``score`` must return the same value for the same text every time:
+    :func:`score_corpus` calls it once per distinct qualified (text, kind)
+    pair within one call and reuses that score for every tweet that repeats
+    the pair. A score that is not finite or falls outside ``score_scale`` is
+    a ValueError in every scoring entry point.
+    """
 
     name: str = "detector"
     score_scale: tuple[float, float] = OPENAI_STYLE_SCALE
@@ -221,19 +228,21 @@ class AccountScore:
     per_tweet_scores: tuple[float, ...]
 
 
-def _check_finite(scores, detector: TextDetector) -> None:
-    for score in scores:
-        if not math.isfinite(score):
-            raise ValueError(f"detector {detector.name!r} returned a non-finite score: {score!r}")
+def _checked(score: float, detector: TextDetector) -> float:
+    """The score itself, or a ValueError naming the detector and the value when
+    it is not finite or lies outside the detector's declared score_scale."""
+    low, high = detector.score_scale
+    if not math.isfinite(score):
+        raise ValueError(f"detector {detector.name!r} returned a non-finite score: {score!r}")
+    if not low <= score <= high:
+        raise ValueError(f"detector {detector.name!r} returned a score outside its "
+                         f"score_scale [{low}, {high}]: {score!r}")
+    return score
 
 
-def score_account(account_id: str, texts, detector: TextDetector) -> AccountScore | None:
-    """Average the detector over the account's texts; None when nothing
-    qualifies. A non-finite detector output is a ValueError."""
-    scores = [detector.score(text) for text in texts]
+def _account_score(account_id: str, scores: list[float]) -> AccountScore | None:
     if not scores:
         return None
-    _check_finite(scores, detector)
     return AccountScore(
         account_id=account_id,
         n_qualified=len(scores),
@@ -242,29 +251,50 @@ def score_account(account_id: str, texts, detector: TextDetector) -> AccountScor
     )
 
 
+def score_account(account_id: str, texts, detector: TextDetector) -> AccountScore | None:
+    """Average the detector over the account's texts; None when nothing
+    qualifies. A non-finite or out-of-scale detector output is a ValueError."""
+    return _account_score(account_id, [_checked(detector.score(text), detector)
+                                       for text in texts])
+
+
 def concat_and_score(texts, detector: TextDetector, separator: str = "\n") -> float:
-    """Join texts and score the consolidated document once; a non-finite
-    detector output is a ValueError."""
+    """Join texts and score the consolidated document once; a non-finite or
+    out-of-scale detector output is a ValueError."""
     texts = list(texts)
     if not texts:
         raise ValueError("need at least one text to concatenate")
-    score = detector.score(separator.join(texts))
-    _check_finite([score], detector)
-    return score
+    return _checked(detector.score(separator.join(texts)), detector)
 
 
 def score_corpus(corpus: Corpus, detector: TextDetector,
                  rules: QualificationRules = QualificationRules(),
                  group=None):
     """Score every account (or a group); returns (scores by id, n without any
-    qualified tweet)."""
+    qualified tweet).
+
+    Each account's score equals ``score_account(id, qualify_tweets(corpus, id,
+    rules), detector)``, but each distinct raw (text, kind) pair is processed
+    and scored once per call, so the detector must be deterministic.
+    """
     account_ids = sorted(group) if group is not None else sorted(corpus.accounts)
+    # (raw text, kind) -> () when processing leaves nothing, else (score,).
+    memo: dict[tuple[str, str], tuple[float, ...]] = {}
     scores: dict[str, AccountScore] = {}
     unscored = 0
     for account_id in account_ids:
         if account_id not in corpus.accounts:
             continue
-        result = score_account(account_id, qualify_tweets(corpus, account_id, rules), detector)
+        account_scores = []
+        for tweet in _kept_tweets(corpus, account_id, rules):
+            key = (tweet.text, tweet.kind)
+            cached = memo.get(key)
+            if cached is None:
+                processed = process_text(tweet.text, tweet.kind, rules)
+                cached = memo[key] = (
+                    (_checked(detector.score(processed), detector),) if processed else ())
+            account_scores.extend(cached)
+        result = _account_score(account_id, account_scores)
         if result is None:
             unscored += 1
         else:
@@ -356,14 +386,38 @@ def split_labeled(scores) -> tuple[list[float], list[float]]:
     return bots, humans
 
 
+def _sentinel(extreme: float, step: float) -> float:
+    """``extreme + step``, or the next float in the step's direction where the
+    step is lost to rounding (beyond 2**53); the extreme itself at the largest
+    finite magnitude, which has no finite float beyond it."""
+    sentinel = extreme + step
+    if sentinel == extreme:
+        sentinel = math.nextafter(extreme, math.copysign(math.inf, step))
+    return sentinel if math.isfinite(sentinel) else extreme
+
+
+def _midpoints(values: np.ndarray) -> np.ndarray:
+    """``(a + b) / 2`` for each consecutive pair, or ``a / 2 + b / 2`` where
+    the sum overflows."""
+    lower, upper = values[:-1], values[1:]
+    with np.errstate(over="ignore"):
+        midpoints = (lower + upper) / 2.0
+    overflowed = ~np.isfinite(midpoints)
+    midpoints[overflowed] = lower[overflowed] / 2.0 + upper[overflowed] / 2.0
+    return midpoints
+
+
 def sweep_threshold(scores) -> SweepOutcome:
     """Find the F1-maximizing bot/human threshold (predict bot iff value >= t).
 
     Candidates are the midpoints between consecutive distinct score values
     plus one sentinel below and above everything, which covers every
-    achievable confusion matrix. Ties go to the smallest threshold. Both
-    label sets are sorted once and counted at every candidate by binary
-    search, so the sweep is O(N log N).
+    achievable confusion matrix. A midpoint is ``(a + b) / 2``, or
+    ``a / 2 + b / 2`` where the sum overflows; a sentinel is one unit beyond
+    the extreme value, or the next float beyond it where that unit is lost to
+    rounding. Ties go to the smallest threshold. Both label sets are sorted
+    once and counted at every candidate by binary search, so the sweep is
+    O(N log N).
     """
     bots, humans = split_labeled(scores)
     if not bots or not humans:
@@ -371,8 +425,8 @@ def sweep_threshold(scores) -> SweepOutcome:
     bot_values = np.sort(bots)
     human_values = np.sort(humans)
     distinct = np.unique(np.concatenate([bot_values, human_values]))
-    candidates = np.concatenate([[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0,
-                                 [distinct[-1] + 1.0]])
+    candidates = np.concatenate([[_sentinel(float(distinct[0]), -1.0)], _midpoints(distinct),
+                                 [_sentinel(float(distinct[-1]), 1.0)]])
 
     # Values at or above each candidate; recall's denominator is len(bots) >= 1.
     tp = len(bot_values) - np.searchsorted(bot_values, candidates, side="left")

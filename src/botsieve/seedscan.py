@@ -50,16 +50,24 @@ def find_phrase_tweets(corpus: Corpus, query: PhraseQuery | None = None) -> dict
     """Map tweet_id -> first matching phrase, for every tweet containing one.
 
     Retweets are searched like any other tweet. Keys come out sorted by
-    tweet_id so merged results are deterministic.
+    tweet_id so merged results are deterministic. Each distinct text is
+    normalized and matched once per call.
     """
     query = query or PhraseQuery()
+    # Raw text -> its first matching phrase, or None.
+    matches: dict[str, str | None] = {}
     hits: dict[str, str] = {}
     for tweet_id in sorted(corpus.tweets):
-        haystack = normalize_text(corpus.tweets[tweet_id].text)
-        for raw, needle in zip(query.phrases, query.normalized):
-            if needle in haystack:
-                hits[tweet_id] = raw
-                break
+        text = corpus.tweets[tweet_id].text
+        try:
+            phrase = matches[text]
+        except KeyError:
+            haystack = normalize_text(text)
+            phrase = matches[text] = next(
+                (raw for raw, needle in zip(query.phrases, query.normalized)
+                 if needle in haystack), None)
+        if phrase is not None:
+            hits[tweet_id] = phrase
     return hits
 
 

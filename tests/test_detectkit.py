@@ -1,3 +1,7 @@
+import math
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,8 +122,9 @@ def test_heuristic_detector_range_and_determinism():
 # Aggregation
 
 
-def replay_for(scores: dict):
-    return dk.ReplayDetector({dk.text_digest(t): s for t, s in scores.items()})
+def replay_for(scores: dict, score_scale=dk.OPENAI_STYLE_SCALE):
+    return dk.ReplayDetector({dk.text_digest(t): s for t, s in scores.items()},
+                             score_scale=score_scale)
 
 
 def test_score_account_mean():
@@ -149,7 +154,8 @@ def test_score_account_matches_hand_computed_fixture(tmp_path):
 def test_mean_translation_equivariance(scores, shift):
     texts = [f"text {i}" for i in range(len(scores))]
     base = replay_for(dict(zip(texts, scores)))
-    shifted = replay_for({t: s + shift for t, s in zip(texts, scores)})
+    shifted = replay_for({t: s + shift for t, s in zip(texts, scores)},
+                         score_scale=(-10.0, 100.0))
     a = dk.score_account("x", texts, base).mean_score
     b = dk.score_account("x", texts, shifted).mean_score
     assert b == pytest.approx(a + shift, abs=1e-9)
@@ -177,12 +183,93 @@ class ConstantDetector(dk.TextDetector):
         return self.value
 
 
+def scoring_entry_points(detector):
+    """Each public way to score text with a detector, as a thunk."""
+    corpus = corpus_of([account("A")], [tweet("t1", "A", text="a"), tweet("t2", "A", text="b")])
+    return [lambda: dk.score_account("acct", ["a", "b"], detector),
+            lambda: dk.concat_and_score(["a", "b"], detector),
+            lambda: dk.score_corpus(corpus, detector)]
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_detector_output_is_rejected(value):
-    with pytest.raises(ValueError, match="non-finite"):
-        dk.score_account("acct", ["a", "b"], ConstantDetector(value))
-    with pytest.raises(ValueError, match="non-finite"):
-        dk.concat_and_score(["a", "b"], ConstantDetector(value))
+    for call in scoring_entry_points(ConstantDetector(value)):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+def test_out_of_scale_detector_output_is_rejected():
+    for call in scoring_entry_points(ConstantDetector(150.0)):
+        with pytest.raises(ValueError, match=r"detector 'detector' returned a score "
+                                             r"outside its score_scale \[0\.0, 100\.0\]: 150\.0"):
+            call()
+    for call in scoring_entry_points(ConstantDetector(100.0)):
+        call()
+
+
+class CountingDetector(dk.TextDetector):
+    """Stub scores, with every text it was asked to score recorded."""
+
+    def __init__(self):
+        self.inner = dk.StubDetector(key="count")
+        self.texts = []
+
+    def score(self, text):
+        self.texts.append(text)
+        return self.inner.score(text)
+
+
+def test_score_corpus_scores_each_distinct_pair_once_and_matches_score_account():
+    same = "the same templated text"
+    corpus = corpus_of(
+        [account("A"), account("B"), account("C"), account("D")],
+        [tweet("a1", "A", text=same, created="2023-01-01T00:00:00Z"),
+         tweet("a2", "A", kind="reply", reply_to="X", text=f"@x @y {same}",
+               created="2023-01-02T00:00:00Z"),
+         # Other leading handles, same processed text: its own (text, kind) pair.
+         tweet("a3", "A", kind="reply", reply_to="Z", text=f"@z {same}",
+               created="2023-01-03T00:00:00Z"),
+         tweet("a4", "A", kind="retweet", ref="X", text=f"RT @x: {same}",
+               created="2023-01-04T00:00:00Z"),
+         tweet("a5", "A", text="hola mundo", language="es", created="2023-01-05T00:00:00Z"),
+         tweet("a6", "A", text="https://only.link/x", created="2023-01-06T00:00:00Z"),
+         tweet("a7", "A", kind="quote", ref="X", text=same, created="2023-01-07T00:00:00Z"),
+         tweet("a8", "A", text=same, created="2023-01-08T00:00:00Z"),
+         tweet("b1", "B", text="another text", created="2023-01-01T00:00:00Z"),
+         tweet("b2", "B", kind="reply", reply_to="X", text=f"@x @y {same}",
+               created="2023-01-02T00:00:00Z"),
+         tweet("b3", "B", text=same, created="2023-01-03T00:00:00Z"),
+         tweet("b4", "B", text="another text", created="2023-01-04T00:00:00Z"),
+         tweet("c1", "C", text="https://only.link/x"),
+         tweet("c2", "C", kind="retweet", ref="X", text=same),
+         tweet("c3", "C", text=same, language="es")],
+    )
+    reference_detector = dk.StubDetector(key="count")
+    reference = {}
+    for account_id in sorted(corpus.accounts):
+        result = dk.score_account(account_id, dk.qualify_tweets(corpus, account_id),
+                                  reference_detector)
+        if result is not None:
+            reference[account_id] = result
+
+    detector = CountingDetector()
+    scores, unscored = dk.score_corpus(corpus, detector)
+    assert list(scores) == list(reference) == ["A", "B"]
+    for account_id, expected in reference.items():
+        got = scores[account_id]
+        assert got.account_id == expected.account_id
+        assert got.n_qualified == expected.n_qualified
+        assert got.per_tweet_scores == expected.per_tweet_scores
+        assert got.mean_score == expected.mean_score
+    assert scores["A"].n_qualified == 5
+    assert unscored == 2  # C has nothing that qualifies; D has no tweets
+
+    qualified_pairs = {(t.text, t.kind) for t in corpus.tweets.values()
+                       if t.kind != "retweet" and t.language == "en"
+                       and dk.process_text(t.text, t.kind)}
+    assert len(qualified_pairs) == 5
+    assert len(detector.texts) == len(qualified_pairs)
+    assert sorted(set(detector.texts)) == ["another text", same]
 
 
 def test_filter_min_qualified():
@@ -282,6 +369,36 @@ def test_sweep_and_recall_reject_non_finite_scores(bad):
         dk.sweep_threshold(scores)
     with pytest.raises(ValueError, match="non-finite"):
         dk.recall_at(scores, 1.5)
+
+
+def test_sweep_midpoints_near_the_float_limit_stay_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = dk.sweep_threshold([(1.7e308, "bot"), (1.6e308, "human"), (1.65e308, "bot")])
+    thresholds = [r.threshold for r in outcome.curve]
+    assert thresholds[1:3] == [1.6e308 / 2 + 1.65e308 / 2, 1.65e308 / 2 + 1.7e308 / 2]
+    assert thresholds == sorted(set(thresholds)) and all(map(math.isfinite, thresholds))
+    assert outcome.best.f1 == 1.0
+    assert outcome.best.threshold == thresholds[1]
+
+
+def test_sweep_sentinels_lie_strictly_beyond_the_extremes():
+    big = 2.0**60
+    curve = dk.sweep_threshold([(big, "bot"), (-big, "human"), (0.0, "bot")]).curve
+    assert curve[0].threshold == math.nextafter(-big, -math.inf)
+    assert curve[-1].threshold == math.nextafter(big, math.inf)
+    assert (curve[0].precision, curve[0].recall) == (2 / 3, 1.0)
+    assert (curve[-1].precision, curve[-1].recall, curve[-1].f1) == (0.0, 0.0, 0.0)
+    # Where one unit still counts, the sentinels stay one unit out.
+    curve = dk.sweep_threshold([(10.0, "bot"), (4.0, "human")]).curve
+    assert (curve[0].threshold, curve[-1].threshold) == (3.0, 11.0)
+
+
+def test_sweep_sentinels_stay_finite_at_the_largest_float():
+    top = sys.float_info.max
+    outcome = dk.sweep_threshold([(top, "bot"), (-top, "human")])
+    assert [r.threshold for r in outcome.curve] == [-top, 0.0, top]
+    assert outcome.best.f1 == 1.0
 
 
 def brute_force_best_f1(scores):

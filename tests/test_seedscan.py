@@ -98,6 +98,40 @@ def test_matches_agree_with_reference_matcher():
         assert (f"t{i}" in hits) == reference_contains(text, "as an ai language model")
 
 
+def per_tweet_scan(corpus, query):
+    """find_phrase_tweets without sharing work between tweets that repeat a text."""
+    hits = {}
+    for tweet_id in sorted(corpus.tweets):
+        haystack = ss.normalize_text(corpus.tweets[tweet_id].text)
+        for raw, needle in zip(query.phrases, query.normalized):
+            if needle in haystack:
+                hits[tweet_id] = raw
+                break
+    return hits
+
+
+def test_repeated_texts_match_a_per_tweet_scan():
+    refusal = "I'm sorry, but as an AI language model I cannot browse Twitter."
+    variants = [
+        refusal,
+        refusal.replace("AI", "A\u200bI"),                      # zero-width space
+        refusal.replace("as an", "ａｓ\u00a0ａｎ"),                # fullwidth, NBSP
+        "I cannot browse the web, sorry.",
+        "nothing to see here",
+        "as an ai-language model",
+    ]
+    query = ss.PhraseQuery(("As an AI language model", "cannot browse"))
+    tweets = [tweet(f"t{i:02d}", f"a{i % 3}", kind="retweet" if i % 5 == 0 else "original",
+                    ref="x" if i % 5 == 0 else None, text=variants[i % len(variants)])
+              for i in range(30)]
+    corpus = corpus_of([account(f"a{i}") for i in range(3)], tweets)
+    hits = ss.find_phrase_tweets(corpus, query)
+    assert list(hits.items()) == list(per_tweet_scan(corpus, query).items())
+    assert {hits[f"t{i:02d}"] for i in range(3)} == {"As an AI language model"}
+    assert hits["t03"] == "cannot browse"
+    assert "t04" not in hits and "t05" not in hits
+
+
 @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60),
        st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60),
        st.randoms())
