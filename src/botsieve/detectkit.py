@@ -459,22 +459,37 @@ class WelchResult:
     p: float
 
 
+def _sample_variance(x: np.ndarray) -> float:
+    """Sample variance (ddof=1); exactly 0 for a constant sample, whose mean
+    numpy may round off the common value."""
+    return 0.0 if (x == x[0]).all() else float(x.var(ddof=1))
+
+
 def welch_t(sample_a, sample_b) -> WelchResult:
     """Welch's unequal-variance t-test, two-sided.
 
     The statistic carries the sign of mean(a) - mean(b); degrees of freedom
     follow Welch-Satterthwaite; the p-value uses the t-distribution
-    survival function. Samples whose statistics overflow to a non-finite
-    value raise ValueError.
+    survival function. Two constant samples raise ValueError, as do samples
+    whose statistics overflow to a non-finite value.
     """
     a = np.asarray(list(sample_a), dtype=float)
     b = np.asarray(list(sample_b), dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
+    # t and df do not change when both samples are scaled alike, so samples
+    # whose largest magnitude is below 1 are scaled up by a power of two. That
+    # is exact and keeps tiny samples' variances out of the subnormal range,
+    # where they lose precision. Larger samples are left alone, so ones whose
+    # statistics overflow still raise.
+    largest = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    if 0.0 < largest < 1.0:
+        exponent = -math.frexp(largest)[1]
+        a, b = np.ldexp(a, exponent), np.ldexp(b, exponent)
     # Huge finite samples overflow here; the finiteness check below rejects them.
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_a, var_a = float(a.mean()), float(a.var(ddof=1))
-        mean_b, var_b = float(b.mean()), float(b.var(ddof=1))
+        mean_a, var_a = float(a.mean()), _sample_variance(a)
+        mean_b, var_b = float(b.mean()), _sample_variance(b)
     sa = var_a / len(a)
     sb = var_b / len(b)
     if sa + sb == 0.0:

@@ -531,6 +531,19 @@ def test_welch_errors():
         dk.welch_t([2, 2, 2], [3, 3, 3])
     with pytest.raises(ValueError, match="not finite"):
         dk.welch_t([1e308, -1e308], [1e308, -1e308])
+    # numpy's variance of this constant sample is 1.9e-29, the rounding of its mean.
+    with pytest.raises(ValueError, match="degenerate"):
+        dk.welch_t([0.0, 0.0], [22.044602925845844] * 3)
+
+
+def test_welch_tiny_samples_keep_their_precision():
+    # The variance of [0, c] is about 4.9e-322 here, subnormal when computed
+    # unscaled, which moved t to -1.005.
+    c = 3.1272911542522752e-161
+    for sample in ([0.0, c], [0.0, c / 2], [0.0, 5e-324]):
+        result = dk.welch_t([0.0, 0.0], sample)
+        assert result.t == pytest.approx(-1.0, rel=1e-12)
+        assert result.df == pytest.approx(1.0, rel=1e-12)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12),
@@ -538,9 +551,11 @@ def test_welch_errors():
        st.floats(0.1, 10))
 @settings(max_examples=100)
 def test_welch_antisymmetry_and_scale_invariance(a, b, k):
-    var_a = np.var(a, ddof=1)
-    var_b = np.var(b, ddof=1)
-    if var_a + var_b == 0:
+    # Both properties need a spread well above the rounding step of the
+    # values: below it (constant samples, whose variance is only the rounding
+    # of their mean, included) t is rounding noise, and k can make it undefined.
+    step = np.spacing(max(abs(x) for x in a + b))
+    if max(np.ptp(a), np.ptp(b)) <= 1e8 * step:
         return
     forward = dk.welch_t(a, b)
     backward = dk.welch_t(b, a)
