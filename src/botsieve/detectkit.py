@@ -415,7 +415,10 @@ def sweep_threshold(scores) -> SweepOutcome:
     achievable confusion matrix. A midpoint is ``(a + b) / 2``, or
     ``a / 2 + b / 2`` where the sum overflows; a sentinel is one unit beyond
     the extreme value, or the next float beyond it where that unit is lost to
-    rounding. Ties go to the smallest threshold. Both label sets are sorted
+    rounding. At ±float max no finite float lies beyond, so the extreme
+    itself is the sentinel: that row is not strictly beyond it, and the
+    curve then lacks the matrix that predicts nothing (or everything) as bot.
+    Ties go to the smallest threshold. Both label sets are sorted
     once and counted at every candidate by binary search, so the sweep is
     O(N log N).
     """
@@ -477,14 +480,18 @@ def welch_t(sample_a, sample_b) -> WelchResult:
     b = np.asarray(list(sample_b), dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
-    # t and df do not change when both samples are scaled alike, so samples
-    # whose largest magnitude is below 1 are scaled up by a power of two. That
-    # is exact and keeps tiny samples' variances out of the subnormal range,
-    # where they lose precision. Larger samples are left alone, so ones whose
-    # statistics overflow still raise.
-    largest = max(float(np.abs(a).max()), float(np.abs(b).max()))
-    if 0.0 < largest < 1.0:
-        exponent = -math.frexp(largest)[1]
+    # t and df do not change when both samples are scaled alike. Where the
+    # wider sample spreads less than 1, both are scaled up by the power of two
+    # that brings that spread to [0.5, 1), as far as every sum stays finite.
+    # That is exact, and it keeps tiny means and variances out of the
+    # subnormal range, where they lose precision. Wider spreads are left
+    # alone, so statistics that overflow still raise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(max(np.ptp(a), np.ptp(b)))
+        largest = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    headroom = 1023 - math.frexp(largest)[1] - max(len(a), len(b)).bit_length()
+    exponent = min(-math.frexp(spread)[1], headroom) if 0.0 < spread < 1.0 else 0
+    if exponent > 0:
         a, b = np.ldexp(a, exponent), np.ldexp(b, exponent)
     # Huge finite samples overflow here; the finiteness check below rejects them.
     with np.errstate(over="ignore", invalid="ignore"):

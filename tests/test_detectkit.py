@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botsieve import detectkit as dk
@@ -544,18 +544,35 @@ def test_welch_tiny_samples_keep_their_precision():
         result = dk.welch_t([0.0, 0.0], sample)
         assert result.t == pytest.approx(-1.0, rel=1e-12)
         assert result.df == pytest.approx(1.0, rel=1e-12)
+    # Beside a constant sample of magnitude 50 the variance of [0, 1e-300]
+    # underflows to zero unless the spread, not the magnitude, sets the scale.
+    result = dk.welch_t([50.0, 50.0], [0.0, 1e-300])
+    assert result.t == pytest.approx(1e302, rel=1e-12)
+    assert result.df == pytest.approx(1.0, rel=1e-12)
+
+
+def _rounding_shift(sample):
+    """How far rounding each value by one step can move the sample's variance."""
+    if np.ptp(sample) == 0:
+        return 0.0
+    step = np.spacing(np.max(np.abs(sample)))
+    return step * (np.ptp(sample) + step)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=12),
        st.lists(st.floats(-50, 50), min_size=2, max_size=12),
        st.floats(0.1, 10))
+@example(a=[0.0, 1e-7], b=[50.0, 50.0], k=0.3)
 @settings(max_examples=100)
 def test_welch_antisymmetry_and_scale_invariance(a, b, k):
-    # Both properties need a spread well above the rounding step of the
-    # values: below it (constant samples, whose variance is only the rounding
-    # of their mean, included) t is rounding noise, and k can make it undefined.
-    step = np.spacing(max(abs(x) for x in a + b))
-    if max(np.ptp(a), np.ptp(b)) <= 1e8 * step:
+    # Scaling by k rounds each value by up to one step, which can move the
+    # variance of a non-constant sample by about step * (spread + step); a
+    # constant sample stays constant. With at most 12 observations the
+    # combined variance is at least spread**2 / 264 for the wider spread, so
+    # t is checked only where that rounding moves it by well under rel=1e-6,
+    # and where t is finite: with values within +-50, |t| < 1e4 / spread.
+    spread = max(np.ptp(a), np.ptp(b))
+    if max(_rounding_shift(a), _rounding_shift(b)) >= 1e-9 * spread**2 or spread < 1e-300:
         return
     forward = dk.welch_t(a, b)
     backward = dk.welch_t(b, a)
