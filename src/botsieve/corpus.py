@@ -11,9 +11,12 @@ treats the corpus as read-only.
 from __future__ import annotations
 
 import csv
+import gc
 import json
+from array import array
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 VALID_KINDS = frozenset({"original", "reply", "retweet", "quote"})
@@ -62,7 +65,7 @@ def normalize_hashtag(tag: str) -> str:
     return tag.lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Account:
     account_id: str
     handle: str
@@ -73,7 +76,7 @@ class Account:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tweet:
     tweet_id: str
     author_id: str
@@ -87,7 +90,7 @@ class Tweet:
     language: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FollowEdge:
     source: str
     target: str
@@ -158,7 +161,16 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable, indexed snapshot of one corpus. Treat every field as read-only."""
+    """Immutable, indexed snapshot of one corpus. Treat every field as read-only.
+
+    Records are slotted dataclasses (no ``__dict__``). Within one
+    ``load_corpus`` call, equal identifiers, texts, kinds, languages and
+    hashtag/URL tuples are one shared object. ``line_numbers`` maps
+    ``"accounts"`` and ``"tweets"`` to the file name and an array of the line
+    each record was read from, in the order of ``accounts``/``tweets``;
+    ``validate()`` locates records by it. A corpus not read from files has
+    none.
+    """
 
     accounts: dict[str, Account]
     tweets: dict[str, Tweet]
@@ -166,7 +178,7 @@ class Corpus:
     partition: GroupPartition
     tweets_by_author: dict[str, tuple[str, ...]] = field(compare=False, default_factory=dict)
     load_report: ValidationReport = field(compare=False, default_factory=ValidationReport)
-    provenance: dict[tuple[str, str], tuple[str, int]] = field(compare=False, default_factory=dict)
+    line_numbers: dict[str, tuple[str, array]] = field(compare=False, default_factory=dict)
 
     def __post_init__(self):
         index: dict[str, list[str]] = {}
@@ -191,7 +203,7 @@ class Corpus:
 
 
 def make_corpus(accounts, tweets, edges=(), partition=None, load_report=None,
-                provenance=None) -> Corpus:
+                line_numbers=None) -> Corpus:
     """Index records into a Corpus; duplicate account/tweet ids are fatal."""
     account_index: dict[str, Account] = {}
     for acct in accounts:
@@ -209,7 +221,7 @@ def make_corpus(accounts, tweets, edges=(), partition=None, load_report=None,
         follow_edges=frozenset(edges),
         partition=partition or GroupPartition(),
         load_report=load_report or ValidationReport(),
-        provenance=provenance or {},
+        line_numbers=line_numbers or {},
     )
 
 
@@ -258,9 +270,9 @@ def _as_instant(obj, key) -> datetime:
         raise _RecordError("bad-timestamp", str(exc)) from exc
 
 
-def _parse_account(obj) -> Account:
+def _parse_account(obj, share) -> Account:
     return Account(
-        account_id=_as_id(obj, "account_id"),
+        account_id=share(_as_id(obj, "account_id")),
         handle=str(obj.get("handle", "") or ""),
         created_at=_as_instant(obj, "created_at"),
         follower_count=_as_count(obj, "follower_count"),
@@ -270,7 +282,7 @@ def _parse_account(obj) -> Account:
     )
 
 
-def _parse_tweet(obj) -> Tweet:
+def _parse_tweet(obj, share) -> Tweet:
     kind = obj.get("kind")
     if kind is None:
         raise _RecordError("missing-field:kind")
@@ -283,20 +295,24 @@ def _parse_tweet(obj) -> Tweet:
     raw_urls = obj.get("urls") or []
     if not isinstance(raw_tags, list) or not isinstance(raw_urls, list):
         raise _RecordError("bad-field:entities", "hashtags/urls must be lists")
-    hashtags = tuple(t for t in (normalize_hashtag(str(tag)) for tag in raw_tags) if t)
+    hashtags = share(tuple(t for t in (normalize_hashtag(str(tag)) for tag in raw_tags) if t))
     language = obj.get("language")
     return Tweet(
         tweet_id=_as_id(obj, "tweet_id"),
-        author_id=_as_id(obj, "author_id"),
+        author_id=share(_as_id(obj, "author_id")),
         created_at=_as_instant(obj, "created_at"),
-        text=str(text),
-        kind=kind,
-        in_reply_to_account=_optional_id(obj, "in_reply_to_account"),
-        referenced_account=_optional_id(obj, "referenced_account"),
+        text=share(str(text)),
+        kind=share(kind),
+        in_reply_to_account=share(_optional_id(obj, "in_reply_to_account")),
+        referenced_account=share(_optional_id(obj, "referenced_account")),
         hashtags=hashtags,
-        urls=tuple(str(u) for u in raw_urls),
-        language=str(language) if language not in (None, "") else None,
+        urls=share(tuple(str(u) for u in raw_urls)),
+        language=share(str(language)) if language not in (None, "") else None,
     )
+
+
+def _parse_edge(obj, share) -> FollowEdge:
+    return FollowEdge(source=share(_as_id(obj, "source")), target=share(_as_id(obj, "target")))
 
 
 def _iter_lines(path: Path):
@@ -317,9 +333,11 @@ def _iter_lines(path: Path):
                 yield lineno, text
 
 
-def _load_jsonl_records(path: Path, parse, aliases, violations):
-    """Parse one JSONL file; returns [(line, record)]. >10% undecodable is fatal."""
+def _load_jsonl_records(path: Path, parse, aliases, violations, share):
+    """Parse one JSONL file into its records and an array of their line
+    numbers; ``parse(obj, share)`` builds one record. >10% undecodable is fatal."""
     records = []
+    lines = array("Q")
     total = 0
     malformed = 0
     first_bad: int | None = None
@@ -342,17 +360,20 @@ def _load_jsonl_records(path: Path, parse, aliases, violations):
             # swapped names resolve correctly.
             obj = {**obj, **{canonical: obj.get(name) for canonical, name in aliases.items()}}
         try:
-            records.append((lineno, parse(obj)))
+            record = parse(obj, share)
         except _RecordError as exc:
             violations.append(
                 Violation(exc.rule, file=fname, line=lineno, detail=exc.detail)
             )
+            continue
+        records.append(record)
+        lines.append(lineno)
     if total and malformed > MALFORMED_FATAL_FRACTION * total:
         raise CorpusError(
             f"{fname}: {malformed} of {total} lines are not valid JSON records "
             f"(first offending line: {first_bad})"
         )
-    return records
+    return records, lines
 
 
 def _text_lines(path):
@@ -426,78 +447,83 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
             isinstance(m, dict) and all(isinstance(v, str) for v in m.values())
             for m in aliases.values()):
         raise CorpusError("field aliases must be an object of {canonical: input name} objects")
-    violations: list[Violation] = []
-    provenance: dict[tuple[str, str], tuple[str, int]] = {}
+    # Loading creates no reference cycles (records hold strings, tuples and
+    # datetimes), so a cyclic collection during it only re-walks the growing heap.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        violations: list[Violation] = []
+        # One object per distinct value for this load only. Keys are only
+        # str, tuples of str and None, so equal keys are interchangeable
+        # (unlike 1 == 1.0 == True).
+        shared: dict = {}
 
-    account_path = Path(account_path)
-    tweet_path = Path(tweet_path)
-    account_records = _load_jsonl_records(
-        account_path, _parse_account, aliases.get("accounts", {}), violations)
-    accounts = []
-    for lineno, acct in account_records:
-        accounts.append(acct)
-        provenance[("account", acct.account_id)] = (account_path.name, lineno)
+        def share(value):
+            return shared.setdefault(value, value)
 
-    tweet_records = _load_jsonl_records(
-        tweet_path, _parse_tweet, aliases.get("tweets", {}), violations)
-    tweets = []
-    for lineno, tweet in tweet_records:
-        tweets.append(tweet)
-        provenance[("tweet", tweet.tweet_id)] = (tweet_path.name, lineno)
+        account_path = Path(account_path)
+        tweet_path = Path(tweet_path)
+        accounts, account_lines = _load_jsonl_records(
+            account_path, _parse_account, aliases.get("accounts", {}), violations, share)
+        tweets, tweet_lines = _load_jsonl_records(
+            tweet_path, _parse_tweet, aliases.get("tweets", {}), violations, share)
 
-    edges: list[FollowEdge] = []
-    if edge_path is not None:
-        edge_path = Path(edge_path)
-        seen_pairs = set()
+        edges: list[FollowEdge] = []
+        if edge_path is not None:
+            edge_path = Path(edge_path)
+            seen_pairs = set()
+            edge_records, edge_lines = _load_jsonl_records(
+                edge_path, _parse_edge, aliases.get("edges", {}), violations, share)
+            for edge, lineno in zip(edge_records, edge_lines):
+                if edge.source == edge.target:
+                    violations.append(
+                        Violation("self-follow", file=edge_path.name, line=lineno,
+                                  identifier=edge.source)
+                    )
+                    continue
+                pair = (edge.source, edge.target)
+                if pair in seen_pairs:
+                    violations.append(
+                        Violation("duplicate-edge", file=edge_path.name, line=lineno,
+                                  identifier=f"{edge.source}->{edge.target}")
+                    )
+                    continue
+                seen_pairs.add(pair)
+                edges.append(edge)
 
-        def parse_edge(obj):
-            return FollowEdge(source=_as_id(obj, "source"), target=_as_id(obj, "target"))
+        known = {a.account_id for a in accounts}
+        partition = GroupPartition()
+        if label_path is not None:
+            partition = _load_labels(Path(label_path), known, violations)
 
-        for lineno, edge in _load_jsonl_records(edge_path, parse_edge, aliases.get("edges", {}),
-                                                violations):
-            if edge.source == edge.target:
-                violations.append(
-                    Violation("self-follow", file=edge_path.name, line=lineno,
-                              identifier=edge.source)
-                )
-                continue
-            pair = (edge.source, edge.target)
-            if pair in seen_pairs:
-                violations.append(
-                    Violation("duplicate-edge", file=edge_path.name, line=lineno,
-                              identifier=f"{edge.source}->{edge.target}")
-                )
-                continue
-            seen_pairs.add(pair)
-            edges.append(edge)
-
-    known = {a.account_id for a in accounts}
-    partition = GroupPartition()
-    if label_path is not None:
-        partition = _load_labels(Path(label_path), known, violations)
-
-    violations.sort(key=Violation.sort_key)
-    return make_corpus(
-        accounts, tweets, edges, partition,
-        load_report=ValidationReport(tuple(violations)),
-        provenance=provenance,
-    )
+        violations.sort(key=Violation.sort_key)
+        return make_corpus(
+            accounts, tweets, edges, partition,
+            load_report=ValidationReport(tuple(violations)),
+            line_numbers={"accounts": (account_path.name, account_lines),
+                          "tweets": (tweet_path.name, tweet_lines)},
+        )
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def validate(corpus: Corpus) -> ValidationReport:
     """Check every type invariant on an in-memory corpus (pure)."""
     violations: list[Violation] = []
 
-    def where(kind: str, identifier: str) -> dict:
-        file, line = corpus.provenance.get((kind, identifier), (None, None))
-        return {"file": file, "line": line, "identifier": identifier}
+    def located(kind: str):
+        """(record, file, line) for each record of ``corpus.<kind>``."""
+        records = getattr(corpus, kind)
+        file, lines = corpus.line_numbers.get(kind, (None, repeat(None, len(records))))
+        return zip(records.values(), repeat(file, len(records)), lines, strict=True)
 
-    for acct in corpus.accounts.values():
+    for acct, file, line in located("accounts"):
         if min(acct.follower_count, acct.following_count, acct.tweet_count) < 0:
-            violations.append(Violation("negative-count", **where("account", acct.account_id)))
+            violations.append(Violation("negative-count", file, line, acct.account_id))
 
-    for tweet in corpus.tweets.values():
-        loc = where("tweet", tweet.tweet_id)
+    for tweet, file, line in located("tweets"):
+        loc = {"file": file, "line": line, "identifier": tweet.tweet_id}
         if tweet.kind == "reply" and tweet.in_reply_to_account is None:
             violations.append(Violation("reply-missing-target", **loc))
         if tweet.kind in ("retweet", "quote") and tweet.referenced_account is None:
@@ -544,8 +570,7 @@ def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
     }
     for name, records, kind in (("accounts", corpus.accounts, Account),
                                 ("tweets", corpus.tweets, Tweet)):
-        # getattr, not vars(): on CPython 3.11+ reading __dict__ gives every
-        # record a dict of its own that it keeps (15 MB at fox8 scale).
+        # getattr: records are slotted and have no __dict__.
         keys = [f.name for f in fields(kind)]
         with open(paths[name], "w", encoding="utf-8") as fh:
             for record in (records[record_id] for record_id in sorted(records)):
@@ -566,7 +591,11 @@ def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
 
 
 def merge_corpora(*parts: Corpus) -> Corpus:
-    """Union disjoint corpus fragments; colliding identifiers are fatal."""
+    """Union disjoint corpus fragments; colliding identifiers are fatal.
+
+    The parts' load reports are joined into one. The merged corpus keeps no
+    line numbers, so ``validate()`` locates its records by identifier only.
+    """
     accounts: list[Account] = []
     tweets: list[Tweet] = []
     edges: set[FollowEdge] = set()
@@ -578,23 +607,31 @@ def merge_corpora(*parts: Corpus) -> Corpus:
         for name, members in part.partition.groups.items():
             groups.setdefault(name, set()).update(members)
     partition = GroupPartition({n: frozenset(m) for n, m in groups.items()})
-    return make_corpus(accounts, tweets, edges, partition)
+    violations = sorted((v for part in parts for v in part.load_report), key=Violation.sort_key)
+    return make_corpus(accounts, tweets, edges, partition,
+                       load_report=ValidationReport(tuple(violations)))
 
 
 def cap_tweets(corpus: Corpus, max_per_account: int) -> Corpus:
-    """Keep only each author's ``max_per_account`` most recent tweets; the
-    load report and provenance carry over."""
+    """Keep only each author's ``max_per_account`` most recent tweets, in
+    tweet-id order; the load report and line numbers carry over."""
     if max_per_account < 1:
         raise ValueError("max_per_account must be >= 1")
     keep: set[str] = set()
     for tweet_ids in corpus.tweets_by_author.values():
         # tweets_by_author is ordered by (created_at, tweet_id).
         keep.update(tweet_ids[-max_per_account:])
+    kept = sorted(keep)
+    line_numbers = dict(corpus.line_numbers)
+    if "tweets" in line_numbers:
+        file, lines = line_numbers["tweets"]
+        line_of = {tid: n for tid, n in zip(corpus.tweets, lines) if tid in keep}
+        line_numbers["tweets"] = (file, array(lines.typecode, (line_of[tid] for tid in kept)))
     return make_corpus(
         list(corpus.accounts.values()),
-        [corpus.tweets[tid] for tid in sorted(keep)],
+        [corpus.tweets[tid] for tid in kept],
         corpus.follow_edges,
         corpus.partition,
         load_report=corpus.load_report,
-        provenance=corpus.provenance,
+        line_numbers=line_numbers,
     )

@@ -1,8 +1,13 @@
+import dataclasses
+import gc
 import json
+import tempfile
+from array import array
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botsieve import corpus as cp
@@ -357,3 +362,135 @@ def test_merge_corpora_disjoint_and_collision():
     assert merged.partition.names == ("bot", "human")
     with pytest.raises(cp.CorpusError):
         cp.merge_corpora(one, one)
+
+
+def test_cap_tweets_keeps_line_numbers(tmp_path):
+    lines = TWEET_LINES + [{**TWEET_LINES[0], "tweet_id": "t0", "author_id": "ghost"}]
+    paths = write_corpus_files(tmp_path, tweets=lines)
+    capped = cp.cap_tweets(cp.load_corpus(paths["accounts"], paths["tweets"]), 1)
+    assert list(capped.tweets) == ["t0", "t2", "t3"]
+    assert capped.line_numbers["tweets"] == ("tweets.jsonl", array("Q", [4, 2, 3]))
+    assert [(v.rule, v.file, v.line, v.identifier) for v in cp.validate(capped)] == \
+        [("dangling-author", "tweets.jsonl", 4, "t0")]
+
+
+def test_merge_corpora_keeps_load_reports(tmp_path):
+    one_dir, two_dir = tmp_path / "one", tmp_path / "two"
+    one_dir.mkdir()
+    two_dir.mkdir()
+    one = write_corpus_files(one_dir, tweets=[*TWEET_LINES, {"tweet_id": "t4"}],
+                             edges=({"source": "a1", "target": "a1"},))
+    two = write_corpus_files(two_dir,
+                             accounts=[{**a, "account_id": "b" + a["account_id"]}
+                                       for a in ACCOUNT_LINES] + [{"account_id": "b9"}],
+                             tweets=[{**TWEET_LINES[0], "tweet_id": "u1", "author_id": "ba1"}])
+    parts = [cp.load_corpus(p["accounts"], p["tweets"], p["edges"]) for p in (one, two)]
+    merged = cp.merge_corpora(*parts)
+    assert len(merged.load_report) == 3
+    assert list(merged.load_report) == sorted(
+        [*parts[0].load_report, *parts[1].load_report], key=cp.Violation.sort_key)
+    assert merged.line_numbers == {}
+
+
+def test_loaded_records_are_slotted_and_frozen(tmp_path):
+    paths = write_corpus_files(tmp_path)
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"], paths["edges"])
+    records = [corpus.accounts["a1"], corpus.tweets["t1"], next(iter(corpus.follow_edges))]
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, "x")
+        copy = type(record)(**dataclasses.asdict(record))
+        assert copy == record and hash(copy) == hash(record)
+
+
+def test_equal_values_in_one_load_share_one_object(tmp_path):
+    tweets = [*TWEET_LINES, {**TWEET_LINES[0], "tweet_id": "t4", "hashtags": ["btc"]}]
+    paths = write_corpus_files(tmp_path, tweets=tweets)
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"], paths["edges"])
+    first, again = corpus.tweets["t1"], corpus.tweets["t4"]
+    assert first.text is again.text
+    assert first.author_id is again.author_id is corpus.accounts["a1"].account_id
+    assert first.hashtags is again.hashtags
+    assert first.kind is again.kind
+    assert corpus.tweets["t2"].in_reply_to_account is corpus.accounts["a2"].account_id
+    assert next(iter(corpus.follow_edges)).target is corpus.accounts["a2"].account_id
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    paths = write_corpus_files(tmp_path)
+    dup = write_jsonl(tmp_path / "dup.jsonl", TWEET_LINES + [TWEET_LINES[0]])
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        cp.load_corpus(paths["accounts"], paths["tweets"], paths["edges"])
+        assert gc.isenabled() is enabled
+        with pytest.raises(cp.CorpusError):
+            cp.load_corpus(paths["accounts"], dup)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+GOOD_ACCOUNT = {"handle": "h", "created_at": "2020-01-01T00:00:00Z",
+                "follower_count": 1, "following_count": 1, "tweet_count": 1}
+GOOD_TWEET = {"author_id": "x0", "created_at": "2023-01-01T00:00:00Z",
+              "text": "hi", "kind": "original"}
+
+# One line of a JSONL file: mostly records whose id comes from a small pool,
+# so ids sometimes repeat; else a record that breaks the schema, an
+# undecodable line or a blank line.
+LINE = st.tuples(st.sampled_from(["record"] * 12 + ["schema", "json", "utf8", "blank"]),
+                 st.integers(0, 99))
+
+
+def render_line(kind, n, id_key, good) -> bytes:
+    if kind == "record":
+        return json.dumps({**good, id_key: f"x{n}"}).encode()
+    if kind == "schema":
+        return json.dumps({**good, id_key: "bad", "created_at": "not a time"}).encode()
+    return {"json": b'{"cut": ', "utf8": b'{"x": "\xff"}', "blank": b"   "}[kind]
+
+
+# Exactly 10% undecodable is tolerated; one more line past it is fatal.
+@example(accounts=[("record", n) for n in range(9)] + [("json", 0)], tweets=[],
+         good_header=True)
+@example(accounts=[("record", n) for n in range(8)] + [("utf8", 0)] * 2, tweets=[],
+         good_header=True)
+@given(accounts=st.lists(LINE, max_size=24), tweets=st.lists(LINE, max_size=24),
+       good_header=st.sampled_from([True, True, True, False]))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_load_is_fatal_exactly_on_the_fatal_cases(accounts, tweets, good_header):
+    fatal = not good_header
+    dropped = set()
+    kept = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, lines, id_key, good in (("accounts.jsonl", accounts, "account_id", GOOD_ACCOUNT),
+                                          ("tweets.jsonl", tweets, "tweet_id", GOOD_TWEET)):
+            paths[name] = Path(tmp) / name
+            paths[name].write_bytes(b"".join(render_line(kind, n, id_key, good) + b"\n"
+                                             for kind, n in lines))
+            counted = [(i, kind) for i, (kind, _) in enumerate(lines, 1) if kind != "blank"]
+            undecodable = sum(kind in ("json", "utf8") for _, kind in counted)
+            ids = [n for kind, n in lines if kind == "record"]
+            fatal |= 10 * undecodable > len(counted) or len(ids) != len(set(ids))
+            dropped |= {(name, i) for i, kind in counted if kind != "record"}
+            kept[name] = array("Q", [i for i, kind in counted if kind == "record"])
+        labels = Path(tmp) / "labels.csv"
+        labels.write_text("account_id,group_name\n" if good_header else "account,group\n",
+                          encoding="utf-8")
+
+        def load():
+            return cp.load_corpus(paths["accounts.jsonl"], paths["tweets.jsonl"],
+                                  label_path=labels)
+
+        if fatal:
+            with pytest.raises(cp.CorpusError):
+                load()
+            return
+        corpus = load()
+    assert {(v.file, v.line) for v in corpus.load_report} == dropped
+    assert corpus.line_numbers == {"accounts": ("accounts.jsonl", kept["accounts.jsonl"]),
+                                   "tweets": ("tweets.jsonl", kept["tweets.jsonl"])}
