@@ -34,12 +34,12 @@ again = merge_corpora(
 )
 print(f"deterministic: {corpus == again}")
 
-# Round-trip through the exchange format.
-out_dir = Path(tempfile.mkdtemp(prefix="botsieve_demo_"))
-paths = export_corpus(corpus, out_dir)
-reloaded = load_corpus(paths["accounts"], paths["tweets"], paths["edges"], paths["labels"])
-print(f"round-trip:    {reloaded == corpus}")
+# Round-trip through the exchange format, in a directory removed on exit.
+with tempfile.TemporaryDirectory(prefix="botsieve_demo_") as out_dir:
+    paths = export_corpus(corpus, out_dir)
+    reloaded = load_corpus(paths["accounts"], paths["tweets"], paths["edges"], paths["labels"])
+    print(f"round-trip:    {reloaded == corpus}")
+    print(f"files written: {', '.join(sorted(path.name for path in paths.values()))}")
 
 report = validate(reloaded)
 print(f"violations:    {len(report)}")
-print(f"files written under {out_dir}")

@@ -35,10 +35,11 @@ print(f"heuristic detector: {len(scores)} accounts scored, {unscored} had no "
       f"({bin_openai(sample.mean_score).value})")
 
 # --- Replaying recorded scores -----------------------------------------
-replay_path = Path(tempfile.mkdtemp(prefix="botsieve_demo_")) / "replay_scores.jsonl"
-write_replay_scores(replay_path, {"thank you": 61.0, "amen": 64.2,
-                                  "a longer, ordinary status update": 28.0})
-replay = ReplayDetector.from_file(replay_path)
+with tempfile.TemporaryDirectory(prefix="botsieve_demo_") as tmp:
+    replay_path = Path(tmp) / "replay_scores.jsonl"
+    write_replay_scores(replay_path, {"thank you": 61.0, "amen": 64.2,
+                                      "a longer, ordinary status update": 28.0})
+    replay = ReplayDetector.from_file(replay_path)
 short_account = score_account("short-tweeter", ["thank you"], replay)
 print(f"\nreplayed scores: lone 'thank you' averages {short_account.mean_score}")
 print(f"kept after a >=4 qualified-tweet filter: "

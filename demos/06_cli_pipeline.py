@@ -13,10 +13,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-base = Path(tempfile.mkdtemp(prefix="botsieve_demo_"))
-corpus_dir = base / "corpus"
-out_dir = base / "analysis"
-
 
 def cli(*argv):
     result = subprocess.run(
@@ -26,22 +22,27 @@ def cli(*argv):
     return json.loads(result.stdout)
 
 
-synth = cli("synth", "--preset", "fox8", "--seed", "7",
-            "--n-bots", "150", "--n-humans", "120", "--out", str(corpus_dir))
-print(f"synth: {synth['metrics']['n_accounts']} accounts, "
-      f"{synth['metrics']['n_tweets']} tweets -> {corpus_dir}")
+# Every file goes under one temporary directory, removed when the run ends.
+with tempfile.TemporaryDirectory(prefix="botsieve_demo_") as tmp:
+    corpus_dir = Path(tmp) / "corpus"
+    out_dir = Path(tmp) / "analysis"
 
-scan = cli("scan-phrases", "--corpus-dir", str(corpus_dir), "--out", str(out_dir))
-print(f"scan-phrases: {scan['metrics']['n_hits']} self-revealing tweets, "
-      f"categories {scan['metrics']['categories']}")
+    synth = cli("synth", "--preset", "fox8", "--seed", "7",
+                "--n-bots", "150", "--n-humans", "120", "--out", str(corpus_dir))
+    print(f"synth: {synth['metrics']['n_accounts']} accounts, "
+          f"{synth['metrics']['n_tweets']} tweets -> {corpus_dir}")
 
-graph = cli("graph-stats", "--corpus-dir", str(corpus_dir), "--kind", "follow",
-            "--group", "bot", "--out", str(out_dir))
-print(f"graph-stats: follow in-degree mean {graph['metrics']['mean_in']:.2f}, "
-      f"largest WCC {graph['metrics']['largest_wcc_size']}")
+    scan = cli("scan-phrases", "--corpus-dir", str(corpus_dir), "--out", str(out_dir))
+    print(f"scan-phrases: {scan['metrics']['n_hits']} self-revealing tweets, "
+          f"categories {scan['metrics']['categories']}")
 
-report = cli("report", "--corpus-dir", str(corpus_dir), "--detector", "stub",
-             "--out", str(out_dir / "report"))
-print("report wrote:")
-for name, path in sorted(report["outputs"].items()):
-    print(f"  {name:<18} {path}")
+    graph = cli("graph-stats", "--corpus-dir", str(corpus_dir), "--kind", "follow",
+                "--group", "bot", "--out", str(out_dir))
+    print(f"graph-stats: follow in-degree mean {graph['metrics']['mean_in']:.2f}, "
+          f"largest WCC {graph['metrics']['largest_wcc_size']}")
+
+    report = cli("report", "--corpus-dir", str(corpus_dir), "--detector", "stub",
+                 "--out", str(out_dir / "report"))
+    print("report wrote:")
+    for name, path in sorted(report["outputs"].items()):
+        print(f"  {name:<18} {Path(path).name}")

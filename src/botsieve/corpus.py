@@ -30,21 +30,39 @@ LABELS_FILE = "labels.csv"
 MALFORMED_FATAL_FRACTION = 0.10
 
 
+# One decoder for every line; see _load_jsonl_records.
+_decode = json.JSONDecoder().raw_decode
+_fromisoformat = datetime.fromisoformat
+
+
 class CorpusError(ValueError):
     """Fatal input problem: unreadable file, duplicate id, broken schema."""
 
 
 def parse_instant(value) -> datetime:
     """Parse an ISO-8601 string or epoch seconds into a UTC datetime."""
-    if isinstance(value, bool):
+    if type(value) is str:
+        # Short path for "YYYY-MM-DDTHH:MM:SSZ", the form export writes for
+        # whole seconds. Since Python 3.11 fromisoformat reads the Z as UTC
+        # itself. With the T and both colons at these places, any string it
+        # accepts here yields the datetime the general path builds from
+        # "+00:00", tzinfo included; a string it rejects (every one, before
+        # 3.11) takes the general path, so the errors are unchanged.
+        if (len(value) == 20 and value[19] == "Z" and value[10] == "T"
+                and value[13] == ":" and value[16] == ":"):
+            try:
+                return _fromisoformat(value)
+            except ValueError:
+                pass
+    elif isinstance(value, bool):
         raise ValueError(f"not a timestamp: {value!r}")
-    if isinstance(value, (int, float)):
+    elif isinstance(value, (int, float)):
         return datetime.fromtimestamp(value, tz=timezone.utc)
     if isinstance(value, str):
         text = value.strip()
         if text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"
-        dt = datetime.fromisoformat(text)
+        dt = _fromisoformat(text)
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return dt.astimezone(timezone.utc)
@@ -232,9 +250,8 @@ class _RecordError(Exception):
         self.detail = detail
 
 
-def _optional_id(obj, key) -> str | None:
+def _identifier(value, key) -> str | None:
     """A string or integer identifier (not a boolean); None when absent or blank."""
-    value = obj.get(key)
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (str, int)):
@@ -242,15 +259,7 @@ def _optional_id(obj, key) -> str | None:
     return str(value).strip() or None
 
 
-def _as_id(obj, key) -> str:
-    value = _optional_id(obj, key)
-    if value is None:
-        raise _RecordError(f"missing-field:{key}")
-    return value
-
-
-def _as_count(obj, key) -> int:
-    value = obj.get(key)
+def _as_count(value, key) -> int:
     if value is None:
         raise _RecordError(f"missing-field:{key}")
     if isinstance(value, bool) or not isinstance(value, int):
@@ -260,8 +269,7 @@ def _as_count(obj, key) -> int:
     return value
 
 
-def _as_instant(obj, key) -> datetime:
-    value = obj.get(key)
+def _as_instant(value, key) -> datetime:
     if value is None:
         raise _RecordError(f"missing-field:{key}")
     try:
@@ -270,49 +278,108 @@ def _as_instant(obj, key) -> datetime:
         raise _RecordError("bad-timestamp", str(exc)) from exc
 
 
+def _not_a_string(value, key) -> _RecordError:
+    return _RecordError(f"bad-field:{key}", f"expected string, got {type(value).__name__}")
+
+
+# The parsers read each field once, in a fixed order: the first failing check
+# names the line's rule. An exact str takes the inline branch; any other value
+# goes through the general helper. ``share`` is ``dict.setdefault`` of the
+# load's value table (called as share(v, v)), so equal values become one object.
+
 def _parse_account(obj, share) -> Account:
-    return Account(
-        account_id=share(_as_id(obj, "account_id")),
-        handle=str(obj.get("handle", "") or ""),
-        created_at=_as_instant(obj, "created_at"),
-        follower_count=_as_count(obj, "follower_count"),
-        following_count=_as_count(obj, "following_count"),
-        tweet_count=_as_count(obj, "tweet_count"),
-        description=str(obj.get("description", "") or ""),
-    )
+    get = obj.get
+    account_id = get("account_id")
+    account_id = (account_id.strip() if type(account_id) is str
+                  else _identifier(account_id, "account_id"))
+    if not account_id:
+        raise _RecordError("missing-field:account_id")
+    created_at = _as_instant(get("created_at"), "created_at")
+    followers = _as_count(get("follower_count"), "follower_count")
+    following = _as_count(get("following_count"), "following_count")
+    tweet_count = _as_count(get("tweet_count"), "tweet_count")
+    handle = get("handle")
+    if handle is None:
+        handle = ""
+    elif type(handle) is not str:
+        raise _not_a_string(handle, "handle")
+    description = get("description")
+    if description is None:
+        description = ""
+    elif type(description) is not str:
+        raise _not_a_string(description, "description")
+    return Account(share(account_id, account_id), handle, created_at, followers, following,
+                   tweet_count, description)
 
 
 def _parse_tweet(obj, share) -> Tweet:
-    kind = obj.get("kind")
+    get = obj.get
+    kind = get("kind")
     if kind is None:
         raise _RecordError("missing-field:kind")
-    if not isinstance(kind, str) or kind not in VALID_KINDS:
+    if type(kind) is not str or kind not in VALID_KINDS:
         raise _RecordError("bad-kind", f"kind={kind!r}")
-    text = obj.get("text")
+    text = get("text")
     if text is None:
         raise _RecordError("missing-field:text")
-    raw_tags = obj.get("hashtags") or []
-    raw_urls = obj.get("urls") or []
-    if not isinstance(raw_tags, list) or not isinstance(raw_urls, list):
+    raw_tags = get("hashtags") or ()
+    raw_urls = get("urls") or ()
+    if (raw_tags and type(raw_tags) is not list) or (raw_urls and type(raw_urls) is not list):
         raise _RecordError("bad-field:entities", "hashtags/urls must be lists")
-    hashtags = share(tuple(t for t in (normalize_hashtag(str(tag)) for tag in raw_tags) if t))
-    language = obj.get("language")
+    tweet_id = get("tweet_id")
+    tweet_id = tweet_id.strip() if type(tweet_id) is str else _identifier(tweet_id, "tweet_id")
+    if not tweet_id:
+        raise _RecordError("missing-field:tweet_id")
+    author_id = get("author_id")
+    author_id = (author_id.strip() if type(author_id) is str
+                 else _identifier(author_id, "author_id"))
+    if not author_id:
+        raise _RecordError("missing-field:author_id")
+    created_at = _as_instant(get("created_at"), "created_at")
+    reply_to = get("in_reply_to_account")
+    reply_to = (reply_to.strip() if type(reply_to) is str
+                else _identifier(reply_to, "in_reply_to_account"))
+    referenced = get("referenced_account")
+    referenced = (referenced.strip() if type(referenced) is str
+                  else _identifier(referenced, "referenced_account"))
+    if type(text) is not str:
+        raise _not_a_string(text, "text")
+    hashtags = []
+    for tag in raw_tags:
+        if type(tag) is not str:
+            raise _not_a_string(tag, "entities")
+        tag = normalize_hashtag(tag)
+        if tag:
+            hashtags.append(tag)
+    for url in raw_urls:
+        if type(url) is not str:
+            raise _not_a_string(url, "entities")
+    language = get("language")
+    if language is not None and type(language) is not str:
+        raise _not_a_string(language, "language")
+    hashtags = tuple(hashtags)
+    urls = tuple(raw_urls)
     return Tweet(
-        tweet_id=_as_id(obj, "tweet_id"),
-        author_id=share(_as_id(obj, "author_id")),
-        created_at=_as_instant(obj, "created_at"),
-        text=share(str(text)),
-        kind=share(kind),
-        in_reply_to_account=share(_optional_id(obj, "in_reply_to_account")),
-        referenced_account=share(_optional_id(obj, "referenced_account")),
-        hashtags=hashtags,
-        urls=share(tuple(str(u) for u in raw_urls)),
-        language=share(str(language)) if language not in (None, "") else None,
+        tweet_id, share(author_id, author_id), created_at, share(text, text),
+        share(kind, kind),
+        share(reply_to, reply_to) if reply_to else None,
+        share(referenced, referenced) if referenced else None,
+        share(hashtags, hashtags), share(urls, urls),
+        share(language, language) if language else None,
     )
 
 
 def _parse_edge(obj, share) -> FollowEdge:
-    return FollowEdge(source=share(_as_id(obj, "source")), target=share(_as_id(obj, "target")))
+    get = obj.get
+    source = get("source")
+    source = source.strip() if type(source) is str else _identifier(source, "source")
+    if not source:
+        raise _RecordError("missing-field:source")
+    target = get("target")
+    target = target.strip() if type(target) is str else _identifier(target, "target")
+    if not target:
+        raise _RecordError("missing-field:target")
+    return FollowEdge(share(source, source), share(target, target))
 
 
 def _iter_lines(path: Path):
@@ -335,21 +402,33 @@ def _iter_lines(path: Path):
 
 def _load_jsonl_records(path: Path, parse, aliases, violations, share):
     """Parse one JSONL file into its records and an array of their line
-    numbers; ``parse(obj, share)`` builds one record. >10% undecodable is fatal."""
+    numbers; ``parse(obj, share)`` builds one record. >10% undecodable is fatal.
+
+    A line decodes as one ``raw_decode`` that must end at the end of the
+    stripped line. That accepts exactly what ``json.loads`` accepts: the strip
+    has already removed every whitespace character JSON allows around a value.
+    """
     records = []
     lines = array("Q")
+    add_record = records.append
+    add_line = lines.append
     total = 0
     malformed = 0
     first_bad: int | None = None
     fname = path.name
     for lineno, text in _iter_lines(path):
         total += 1
-        try:
-            obj = json.loads(text) if text is not None else None
-        except (ValueError, RecursionError):
-            # Besides bad JSON: integers past the digit limit, deep nesting.
-            obj = None
-        if not isinstance(obj, dict):
+        obj = None
+        if text is not None:
+            try:
+                obj, end = _decode(text)
+            except (ValueError, RecursionError):
+                # Besides bad JSON: integers past the digit limit, deep nesting.
+                pass
+            else:
+                if end != len(text):
+                    obj = None
+        if type(obj) is not dict:
             malformed += 1
             if first_bad is None:
                 first_bad = lineno
@@ -360,14 +439,13 @@ def _load_jsonl_records(path: Path, parse, aliases, violations, share):
             # swapped names resolve correctly.
             obj = {**obj, **{canonical: obj.get(name) for canonical, name in aliases.items()}}
         try:
-            record = parse(obj, share)
+            add_record(parse(obj, share))
         except _RecordError as exc:
             violations.append(
                 Violation(exc.rule, file=fname, line=lineno, detail=exc.detail)
             )
             continue
-        records.append(record)
-        lines.append(lineno)
+        add_line(lineno)
     if total and malformed > MALFORMED_FATAL_FRACTION * total:
         raise CorpusError(
             f"{fname}: {malformed} of {total} lines are not valid JSON records "
@@ -454,12 +532,9 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
     try:
         violations: list[Violation] = []
         # One object per distinct value for this load only. Keys are only
-        # str, tuples of str and None, so equal keys are interchangeable
-        # (unlike 1 == 1.0 == True).
-        shared: dict = {}
-
-        def share(value):
-            return shared.setdefault(value, value)
+        # str and tuples of str, so equal keys are interchangeable (unlike
+        # 1 == 1.0 == True). Called as share(value, value).
+        share = {}.setdefault
 
         account_path = Path(account_path)
         tweet_path = Path(tweet_path)

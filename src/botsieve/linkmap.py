@@ -68,10 +68,12 @@ def expand_by_domains(corpus: Corpus, seeds) -> frozenset[str]:
     if not seed_set:
         raise ValueError("seed domain set must be non-empty")
     matched = set()
+    tweets = corpus.tweets
     for author, tweet_ids in corpus.tweets_by_author.items():
         for tweet_id in tweet_ids:
-            domains, _ = extract_domains(corpus.tweets[tweet_id])
-            if seed_set.intersection(domains):
+            tweet = tweets[tweet_id]
+            # A tweet without URLs has no domains; most tweets have none.
+            if tweet.urls and seed_set.intersection(extract_domains(tweet).domains):
                 matched.add(author)
                 break
     return frozenset(matched)
@@ -84,8 +86,8 @@ def domain_frequency(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
     counts: Counter[str] = Counter()
     for account_id in group:
         for tweet in corpus.tweets_of(account_id):
-            domains, _ = extract_domains(tweet)
-            counts.update(domains)
+            if tweet.urls:
+                counts.update(extract_domains(tweet).domains)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 
@@ -119,6 +121,8 @@ def domain_share_profiles(corpus: Corpus, group, targets) -> DomainShareReport:
         link_tweets = 0
         target_tweets = 0
         for tweet in tweets:
+            if not tweet.urls:
+                continue
             domains, _ = extract_domains(tweet)
             if domains:
                 link_tweets += 1

@@ -494,3 +494,313 @@ def test_load_is_fatal_exactly_on_the_fatal_cases(accounts, tweets, good_header)
     assert {(v.file, v.line) for v in corpus.load_report} == dropped
     assert corpus.line_numbers == {"accounts": ("accounts.jsonl", kept["accounts.jsonl"]),
                                    "tweets": ("tweets.jsonl", kept["tweets.jsonl"])}
+
+
+# A value that is not a string where the format says string is a bad field;
+# absent, null and "" keep their meaning.
+@pytest.mark.parametrize("section,key,value,rule", [
+    ("tweets", "urls", [{"u": 1}, None], "bad-field:entities"),
+    ("tweets", "urls", ["https://a.com/", 3], "bad-field:entities"),
+    ("tweets", "hashtags", [["x"], 7], "bad-field:entities"),
+    ("tweets", "hashtags", ["ok", None], "bad-field:entities"),
+    ("tweets", "text", {"k": [1, 2]}, "bad-field:text"),
+    ("tweets", "text", 5, "bad-field:text"),
+    ("tweets", "text", False, "bad-field:text"),
+    ("tweets", "language", 3, "bad-field:language"),
+    ("tweets", "language", 0, "bad-field:language"),
+    ("tweets", "language", ["en"], "bad-field:language"),
+    ("accounts", "handle", 5, "bad-field:handle"),
+    ("accounts", "handle", 0, "bad-field:handle"),
+    ("accounts", "description", {"bio": "x"}, "bad-field:description"),
+    ("accounts", "description", [], "bad-field:description"),
+])
+def test_non_string_value_is_a_bad_field(tmp_path, section, key, value, rule):
+    if section == "tweets":
+        lines = {"tweets": [*TWEET_LINES, {**TWEET_LINES[0], "tweet_id": "t4", key: value}]}
+    else:
+        lines = {"accounts": [*ACCOUNT_LINES, {**ACCOUNT_LINES[0], "account_id": "a3",
+                                               key: value}]}
+    paths = write_corpus_files(tmp_path, **lines)
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"])
+    assert "t4" not in corpus.tweets and "a3" not in corpus.accounts
+    assert [(v.rule, v.file, v.line) for v in corpus.load_report] == \
+        [(rule, f"{section}.jsonl", len(lines[section]))]
+
+
+@pytest.mark.parametrize("value", ["absent", None, ""])
+def test_absent_null_and_empty_strings_keep_their_meaning(tmp_path, value):
+    def put(record, key):
+        record = dict(record)
+        if value == "absent":
+            record.pop(key, None)
+        else:
+            record[key] = value
+        return record
+
+    tweet_line = put({**TWEET_LINES[0], "text": "", "urls": ["", "https://a.com/"],
+                      "hashtags": ["", "#x", " # "]}, "language")
+    account_line = put(put(ACCOUNT_LINES[0], "handle"), "description")
+    paths = write_corpus_files(tmp_path, accounts=[account_line, ACCOUNT_LINES[1]],
+                               tweets=[tweet_line, *TWEET_LINES[1:]])
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"])
+    assert corpus.load_report.empty
+    t1, a1 = corpus.tweets["t1"], corpus.accounts["a1"]
+    assert (t1.text, t1.language, t1.urls, t1.hashtags) == ("", None, ("", "https://a.com/"), ("x",))
+    assert (a1.handle, a1.description) == ("", "")
+
+
+def test_new_string_checks_come_after_every_older_rule(tmp_path):
+    bad_strings = {"text": 5, "language": 3, "urls": [1], "hashtags": [2]}
+    tweets = [*TWEET_LINES,
+              {**TWEET_LINES[0], **bad_strings, "tweet_id": "t4", "author_id": None},
+              {**TWEET_LINES[0], **bad_strings, "tweet_id": "t5", "created_at": "soon"},
+              {**TWEET_LINES[0], **bad_strings, "tweet_id": "t6", "referenced_account": 1.5},
+              {**TWEET_LINES[0], "tweet_id": "t7", "text": 5, "urls": [1], "language": 3},
+              {**TWEET_LINES[0], "tweet_id": "t8", "urls": [1], "language": 3}]
+    accounts = [*ACCOUNT_LINES,
+                {**ACCOUNT_LINES[0], "account_id": "a3", "handle": 5, "tweet_count": -1},
+                {**ACCOUNT_LINES[0], "account_id": "a4", "handle": 5, "description": 6}]
+    paths = write_corpus_files(tmp_path, accounts=accounts, tweets=tweets)
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"])
+    assert [(v.rule, v.line) for v in corpus.load_report] == [
+        ("negative-count", 3), ("bad-field:handle", 4),
+        ("missing-field:author_id", 4), ("bad-timestamp", 5),
+        ("bad-field:referenced_account", 6), ("bad-field:text", 7),
+        ("bad-field:entities", 8)]
+
+
+TWEET_JSON = json.dumps({**TWEET_LINES[0], "tweet_id": "x-planted"})
+
+
+@pytest.mark.parametrize("line", [
+    '{"a":1} {}',
+    TWEET_JSON + "x",
+    "\ufeff" + TWEET_JSON,
+    json.dumps([TWEET_LINES[0]]),
+    json.dumps("tweet"),
+], ids=["extra-object", "trailing-garbage", "bom", "array", "string"])
+def test_line_that_is_not_one_json_object_is_invalid_json(tmp_path, line):
+    paths = write_corpus_files(tmp_path)
+    lines = [json.dumps({**TWEET_LINES[0], "tweet_id": f"x{i}"}) for i in range(19)]
+    lines.insert(5, line)
+    tweet_path = tmp_path / "one_bad_line.jsonl"
+    tweet_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = cp.load_corpus(paths["accounts"], tweet_path)
+    assert corpus.n_tweets == 19
+    assert [(v.rule, v.line) for v in corpus.load_report] == [("invalid-json", 6)]
+
+
+@pytest.mark.parametrize("pad", ["\x0c", "\xa0", " \t\x0c\xa0\u3000"])
+def test_object_padded_with_unicode_whitespace_loads(tmp_path, pad):
+    paths = write_corpus_files(tmp_path)
+    tweet_path = tmp_path / "padded.jsonl"
+    tweet_path.write_text("".join(pad + json.dumps(t) + pad + "\n" for t in TWEET_LINES),
+                          encoding="utf-8")
+    corpus = cp.load_corpus(paths["accounts"], tweet_path)
+    assert corpus.load_report.empty
+    assert corpus == cp.load_corpus(paths["accounts"], paths["tweets"])
+
+
+# Reference copies of the record parsers and parse_instant as they were before
+# the one-pass loader, apart from ``share`` (an identity here). They coerce a
+# non-string text, language, handle, description or hashtag/URL element with
+# str(), which the loader now rejects, so the property below only draws strings
+# for those fields.
+
+def ref_parse_instant(value):
+    if isinstance(value, bool):
+        raise ValueError(f"not a timestamp: {value!r}")
+    if isinstance(value, (int, float)):
+        return datetime.fromtimestamp(value, tz=timezone.utc)
+    if isinstance(value, str):
+        text = value.strip()
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        dt = datetime.fromisoformat(text)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.astimezone(timezone.utc)
+    raise ValueError(f"not a timestamp: {value!r}")
+
+
+def ref_optional_id(obj, key):
+    value = obj.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise cp._RecordError(f"bad-field:{key}",
+                              f"expected identifier, got {type(value).__name__}")
+    return str(value).strip() or None
+
+
+def ref_as_id(obj, key):
+    value = ref_optional_id(obj, key)
+    if value is None:
+        raise cp._RecordError(f"missing-field:{key}")
+    return value
+
+
+def ref_as_count(obj, key):
+    value = obj.get(key)
+    if value is None:
+        raise cp._RecordError(f"missing-field:{key}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise cp._RecordError(f"bad-field:{key}", f"expected integer, got {value!r}")
+    if value < 0:
+        raise cp._RecordError("negative-count", f"{key}={value}")
+    return value
+
+
+def ref_as_instant(obj, key):
+    value = obj.get(key)
+    if value is None:
+        raise cp._RecordError(f"missing-field:{key}")
+    try:
+        return ref_parse_instant(value)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise cp._RecordError("bad-timestamp", str(exc)) from exc
+
+
+def ref_parse_account(obj):
+    return cp.Account(
+        account_id=ref_as_id(obj, "account_id"),
+        handle=str(obj.get("handle", "") or ""),
+        created_at=ref_as_instant(obj, "created_at"),
+        follower_count=ref_as_count(obj, "follower_count"),
+        following_count=ref_as_count(obj, "following_count"),
+        tweet_count=ref_as_count(obj, "tweet_count"),
+        description=str(obj.get("description", "") or ""),
+    )
+
+
+def ref_parse_tweet(obj):
+    kind = obj.get("kind")
+    if kind is None:
+        raise cp._RecordError("missing-field:kind")
+    if not isinstance(kind, str) or kind not in cp.VALID_KINDS:
+        raise cp._RecordError("bad-kind", f"kind={kind!r}")
+    text = obj.get("text")
+    if text is None:
+        raise cp._RecordError("missing-field:text")
+    raw_tags = obj.get("hashtags") or []
+    raw_urls = obj.get("urls") or []
+    if not isinstance(raw_tags, list) or not isinstance(raw_urls, list):
+        raise cp._RecordError("bad-field:entities", "hashtags/urls must be lists")
+    hashtags = tuple(t for t in (cp.normalize_hashtag(str(tag)) for tag in raw_tags) if t)
+    language = obj.get("language")
+    return cp.Tweet(
+        tweet_id=ref_as_id(obj, "tweet_id"),
+        author_id=ref_as_id(obj, "author_id"),
+        created_at=ref_as_instant(obj, "created_at"),
+        text=str(text),
+        kind=kind,
+        in_reply_to_account=ref_optional_id(obj, "in_reply_to_account"),
+        referenced_account=ref_optional_id(obj, "referenced_account"),
+        hashtags=hashtags,
+        urls=tuple(str(u) for u in raw_urls),
+        language=str(language) if language not in (None, "") else None,
+    )
+
+
+def outcome(parse, obj):
+    """What a parser makes of obj: its record (with the repr, which shows
+    each datetime's tzinfo) or the rule and detail it raises."""
+    try:
+        record = parse(obj)
+    except cp._RecordError as exc:
+        return ("error", exc.rule, exc.detail)
+    return ("record", record, repr(record))
+
+
+JSON_SCALAR = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
+               | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6))
+JSON_VALUE = st.recursive(JSON_SCALAR, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                          max_leaves=5)
+ID_VALUE = (st.sampled_from(["a1", " a1 ", "", "  ", "0", "t-9"]) | st.integers(-5, 10**6)
+            | JSON_VALUE)
+STRING_OR_NULL = st.none() | st.sampled_from(["", " ", "en", "#BTC", "# #eth "]) | st.text(max_size=8)
+INSTANT = (st.sampled_from(["2023-01-01T00:00:00Z", "2023-01-01T00:00:00z",
+                            " 2023-01-01T00:00:00Z ", "2023-01-01T02:00:00+02:00",
+                            "2023-01-01 00:00:00", "2023-02-30T00:00:00Z", "2023-01-01",
+                            "last tuesday", ""])
+           | st.integers(-10**12, 10**12) | st.floats(allow_nan=True) | JSON_VALUE)
+COUNT = st.integers(-3, 10**6) | JSON_VALUE
+ENTITIES = (st.none() | st.lists(STRING_OR_NULL.filter(lambda v: v is not None), max_size=3)
+            | JSON_SCALAR)
+KIND = st.sampled_from(sorted(cp.VALID_KINDS)) | JSON_VALUE
+
+TWEET_FIELDS = {"tweet_id": ID_VALUE, "author_id": ID_VALUE, "created_at": INSTANT,
+                "text": STRING_OR_NULL, "kind": KIND, "in_reply_to_account": ID_VALUE,
+                "referenced_account": ID_VALUE, "hashtags": ENTITIES, "urls": ENTITIES,
+                "language": STRING_OR_NULL}
+ACCOUNT_FIELDS = {"account_id": ID_VALUE, "handle": STRING_OR_NULL, "created_at": INSTANT,
+                  "follower_count": COUNT, "following_count": COUNT, "tweet_count": COUNT,
+                  "description": STRING_OR_NULL}
+
+
+def records(fields, good):
+    """Objects keyed by record field names: each field is kept valid, dropped
+    or drawn from its strategy, so some objects load and some break rules."""
+    def build(choices):
+        obj = dict(good)
+        for key, (mode, value) in choices.items():
+            if mode == "drop":
+                obj.pop(key, None)
+            elif mode == "draw":
+                obj[key] = value
+        return obj
+
+    return st.fixed_dictionaries({
+        key: st.tuples(st.sampled_from(["keep", "keep", "drop", "draw", "draw"]), strategy)
+        for key, strategy in fields.items()}).map(build)
+
+
+@given(tweet=records(TWEET_FIELDS, TWEET_LINES[1]),
+       account=records(ACCOUNT_FIELDS, ACCOUNT_LINES[0]))
+@settings(max_examples=600, derandomize=True, deadline=None)
+def test_parsers_match_the_reference_parsers(tweet, account):
+    assert outcome(lambda o: cp._parse_tweet(o, {}.setdefault), tweet) == \
+        outcome(ref_parse_tweet, tweet)
+    assert outcome(lambda o: cp._parse_account(o, {}.setdefault), account) == \
+        outcome(ref_parse_account, account)
+
+
+def instant_outcome(parse, value):
+    try:
+        dt = parse(value)
+    except (ValueError, OverflowError, OSError) as exc:
+        return ("error", type(exc), str(exc))
+    return ("instant", dt, repr(dt), dt.tzinfo)
+
+
+# Strings at and near the short path's "YYYY-MM-DDTHH:MM:SSZ" form: a
+# canonical instant with a few characters replaced, inserted or removed.
+NEAR_CHARS = st.sampled_from(list("0123456789-:TtZz+ .,W\x00\xe9") + ["\udc80", "\u3000"])
+
+
+@st.composite
+def near_canonical(draw):
+    dt = draw(st.datetimes())
+    text = list(f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T"
+                f"{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z")
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["replace", "replace", "insert", "delete"]))
+        at = draw(st.integers(0, len(text) - 1)) if text else 0
+        if op == "delete" and text:
+            del text[at]
+        elif op == "insert":
+            text.insert(at, draw(NEAR_CHARS))
+        elif text:
+            text[at] = draw(NEAR_CHARS)
+    return "".join(text)
+
+
+@example("2023-01-01T00+01:00Z")
+@example("2023-01-01T00:00:00z")
+@example("2023-W01-1T00:00:00Z")
+@example("20230101T00:00:00Z")
+@given(near_canonical())
+@settings(max_examples=2000, derandomize=True, deadline=None)
+def test_parse_instant_matches_the_reference(value):
+    assert instant_outcome(cp.parse_instant, value) == instant_outcome(ref_parse_instant, value)

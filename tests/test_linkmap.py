@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,3 +144,68 @@ def test_load_seed_domains(tmp_path):
     seeds = tmp_path / "seeds.txt"
     seeds.write_text("# suspicious sites\nwww.FOX8.news\ncryptnomics.org\n\n")
     assert lm.load_seed_domains(seeds) == ("fox8.news", "cryptnomics.org")
+
+
+# Per-tweet reference loops: every tweet goes through extract_domains, with no
+# shortcut for tweets that carry no URL.
+
+def ref_expand_by_domains(corpus, seeds):
+    seed_set = {lm.normalize_domain_name(s) for s in seeds}
+    return frozenset(
+        author for author, tweet_ids in corpus.tweets_by_author.items()
+        if any(seed_set & set(lm.extract_domains(corpus.tweets[t]).domains) for t in tweet_ids))
+
+
+def ref_domain_frequency(corpus, group, k):
+    counts = Counter()
+    for account_id in group:
+        for t in corpus.tweets_of(account_id):
+            counts.update(lm.extract_domains(t).domains)
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+def ref_domain_share_profiles(corpus, group, targets):
+    target_set = {lm.normalize_domain_name(t) for t in targets}
+    profiles = []
+    for account_id in sorted(group):
+        tweets = corpus.tweets_of(account_id)
+        extracted = [lm.extract_domains(t).domains for t in tweets]
+        link = sum(1 for domains in extracted if domains)
+        target = sum(1 for domains in extracted if target_set & set(domains))
+        profiles.append(lm.DomainShareProfile(
+            account_id, link, target, target / len(tweets) if tweets else 0.0))
+    mean = sum(p.share_probability for p in profiles) / len(profiles) if profiles else 0.0
+    return lm.DomainShareReport(tuple(profiles), mean)
+
+
+URL_POOL = ["https://fox8.news/a", "https://www.fox8.news/b", "http://www.www.a.com/x",
+            "https://A.com/y", "https://b.org", "not a url", "http://[::1", "", "   ",
+            "https://cryptnomics.org/z?q=1"]
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.lists(st.sampled_from(URL_POOL), max_size=4)),
+                max_size=40),
+       st.sets(st.sampled_from(["fox8.news", "a.com", "www.b.org", "cryptnomics.org"]),
+               min_size=1),
+       st.sets(st.sampled_from([f"u{i}" for i in range(7)] + ["quiet", "ghost"]), min_size=1),
+       st.integers(1, 6))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_domain_stages_match_a_per_tweet_reference(assignments, domains, group, k):
+    tweets = [tweet(f"t{j}", f"u{owner}", urls=urls) for j, (owner, urls) in enumerate(assignments)]
+    # "quiet" posts only tweets without URLs; "ghost" has no tweets at all.
+    tweets += [tweet(f"q{j}", "quiet") for j in range(3)]
+    corpus = corpus_of([account(a) for a in [f"u{i}" for i in range(7)] + ["quiet"]], tweets)
+    assert lm.expand_by_domains(corpus, domains) == ref_expand_by_domains(corpus, domains)
+    assert lm.domain_frequency(corpus, group, k) == ref_domain_frequency(corpus, group, k)
+    report = lm.domain_share_profiles(corpus, group, domains)
+    assert report == ref_domain_share_profiles(corpus, group, domains)
+    by_id = {p.account_id: p for p in report.profiles}
+    if "quiet" in group:
+        assert by_id["quiet"] == lm.DomainShareProfile("quiet", 0, 0, 0.0)
+
+
+def test_url_less_tweets_count_in_the_share_denominator():
+    tweets = [tweet("t0", "A", urls=["https://www.fox8.news/x", "https://b.org/"]),
+              tweet("t1", "A", urls=["not a url"]), tweet("t2", "A"), tweet("t3", "A")]
+    report = lm.domain_share_profiles(corpus_of([account("A")], tweets), {"A"}, {"fox8.news"})
+    assert report.profiles == (lm.DomainShareProfile("A", 1, 1, 0.25),)
