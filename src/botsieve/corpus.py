@@ -14,9 +14,11 @@ import csv
 import gc
 import json
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 VALID_KINDS = frozenset({"original", "reply", "retweet", "quote"})
@@ -34,9 +36,27 @@ MALFORMED_FATAL_FRACTION = 0.10
 _decode = json.JSONDecoder().raw_decode
 _fromisoformat = datetime.fromisoformat
 
+# The encoder json.dumps(value, ensure_ascii=False, sort_keys=True) would build
+# anew on every call (its arguments are not the defaults), and the string
+# encoder it uses; see _write_jsonl.
+_encode_json = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_encode_str = json.encoder.encode_basestring
+
 
 class CorpusError(ValueError):
     """Fatal input problem: unreadable file, duplicate id, broken schema."""
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector; on exit, re-enable it only if it was on at entry."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def parse_instant(value) -> datetime:
@@ -70,8 +90,16 @@ def parse_instant(value) -> datetime:
 
 
 def format_instant(dt: datetime) -> str:
-    """Canonical ISO-8601 form with a Z suffix; inverse of parse_instant."""
-    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    """Canonical ISO-8601 form with a Z suffix; inverse of parse_instant.
+
+    A naive datetime is read as UTC, as parse_instant reads a string
+    without an offset.
+    """
+    if dt.tzinfo is not timezone.utc:
+        if dt.utcoffset() is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        dt = dt.astimezone(timezone.utc)
+    return dt.isoformat().replace("+00:00", "Z")
 
 
 def normalize_hashtag(tag: str) -> str:
@@ -199,14 +227,18 @@ class Corpus:
     line_numbers: dict[str, tuple[str, array]] = field(compare=False, default_factory=dict)
 
     def __post_init__(self):
-        index: dict[str, list[str]] = {}
+        index: dict[str, list[Tweet]] = {}
         for tweet in self.tweets.values():
-            index.setdefault(tweet.author_id, []).append(tweet.tweet_id)
-        for author, ids in index.items():
-            ids.sort(key=lambda tid: (self.tweets[tid].created_at, tid))
-        object.__setattr__(
-            self, "tweets_by_author", {a: tuple(ids) for a, ids in sorted(index.items())}
-        )
+            index.setdefault(tweet.author_id, []).append(tweet)
+        order = attrgetter("created_at", "tweet_id")
+        for tweets in index.values():
+            tweets.sort(key=order)
+        # tuple() of a list, not of a generator: a tuple built from a
+        # generator is grown and then shrunk, which left about 0.4 MB more
+        # RSS after a fox8 load.
+        object.__setattr__(self, "tweets_by_author", {
+            author: tuple([tweet.tweet_id for tweet in tweets])
+            for author, tweets in sorted(index.items())})
 
     def tweets_of(self, account_id: str) -> tuple[Tweet, ...]:
         return tuple(self.tweets[tid] for tid in self.tweets_by_author.get(account_id, ()))
@@ -322,8 +354,8 @@ def _parse_tweet(obj, share) -> Tweet:
     text = get("text")
     if text is None:
         raise _RecordError("missing-field:text")
-    raw_tags = get("hashtags") or ()
-    raw_urls = get("urls") or ()
+    raw_tags = get("hashtags")
+    raw_urls = get("urls")
     if (raw_tags and type(raw_tags) is not list) or (raw_urls and type(raw_urls) is not list):
         raise _RecordError("bad-field:entities", "hashtags/urls must be lists")
     tweet_id = get("tweet_id")
@@ -345,20 +377,26 @@ def _parse_tweet(obj, share) -> Tweet:
     if type(text) is not str:
         raise _not_a_string(text, "text")
     hashtags = []
-    for tag in raw_tags:
+    for tag in raw_tags or ():
         if type(tag) is not str:
             raise _not_a_string(tag, "entities")
         tag = normalize_hashtag(tag)
         if tag:
             hashtags.append(tag)
-    for url in raw_urls:
+    for url in raw_urls or ():
         if type(url) is not str:
             raise _not_a_string(url, "entities")
     language = get("language")
     if language is not None and type(language) is not str:
         raise _not_a_string(language, "language")
+    # Absent, null and "" read as an empty list. Any other falsy non-list
+    # (0, 0.0, false, {}) is checked last, so that every line an older check
+    # drops keeps that check's rule.
+    if ((type(raw_tags) is not list and raw_tags not in (None, ""))
+            or (type(raw_urls) is not list and raw_urls not in (None, ""))):
+        raise _RecordError("bad-field:entities", "hashtags/urls must be lists")
     hashtags = tuple(hashtags)
-    urls = tuple(raw_urls)
+    urls = tuple(raw_urls or ())
     return Tweet(
         tweet_id, share(author_id, author_id), created_at, share(text, text),
         share(kind, kind),
@@ -527,9 +565,7 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
         raise CorpusError("field aliases must be an object of {canonical: input name} objects")
     # Loading creates no reference cycles (records hold strings, tuples and
     # datetimes), so a cyclic collection during it only re-walks the growing heap.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         violations: list[Violation] = []
         # One object per distinct value for this load only. Keys are only
         # str and tuples of str, so equal keys are interchangeable (unlike
@@ -578,9 +614,6 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
             line_numbers={"accounts": (account_path.name, account_lines),
                           "tweets": (tweet_path.name, tweet_lines)},
         )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def validate(corpus: Corpus) -> ValidationReport:
@@ -633,8 +666,55 @@ def validate(corpus: Corpus) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def _write_jsonl(path: Path, records, kind) -> None:
+    """Write one line per record of dataclass ``kind``, in the form
+    ``export_corpus`` documents.
+
+    Field names, their encoded ``"key": `` heads and the getter are resolved
+    once per file. A str, None or tuple of str value is encoded here; any
+    other value goes through the encoder json.dumps would use.
+    """
+    keys = sorted(f.name for f in fields(kind))
+    heads = ["{" + _encode_str(keys[0]) + ": "] + [", " + _encode_str(k) + ": " for k in keys[1:]]
+    at = keys.index("created_at")
+    get = attrgetter(*keys)
+    encode_str = _encode_str
+    encode_json = _encode_json
+    with open(path, "w", encoding="utf-8") as fh:
+        write = fh.write
+        for record in records:
+            values = list(get(record))
+            values[at] = format_instant(values[at])
+            parts = []
+            add = parts.append
+            for head, value in zip(heads, values):
+                add(head)
+                if type(value) is str:
+                    add(encode_str(value))
+                elif value is None:
+                    add("null")
+                elif type(value) is tuple:
+                    try:
+                        # encode_str raises TypeError on anything but a str.
+                        add("[" + ", ".join(map(encode_str, value)) + "]")
+                    except TypeError:
+                        add(encode_json(value))
+                else:
+                    add(encode_json(value))
+            add("}\n")
+            write("".join(parts))
+
+
 def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
-    """Write the corpus back out as canonical, sorted JSONL/CSV files."""
+    """Write the corpus back out as canonical, sorted JSONL/CSV files.
+
+    Accounts and tweets are written in id order, one record per line: exactly
+    ``json.dumps(record, sort_keys=True, ensure_ascii=False)`` with the default
+    separators (``", "`` and ``": "``) over every field, ``created_at`` as
+    ``format_instant``. Edges are ``json.dumps({"source", "target"},
+    sort_keys=True)`` lines sorted by (source, target); ``labels.csv`` lists
+    each group's members in sorted order.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -643,25 +723,21 @@ def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
         "edges": out / EDGES_FILE,
         "labels": out / LABELS_FILE,
     }
-    for name, records, kind in (("accounts", corpus.accounts, Account),
-                                ("tweets", corpus.tweets, Tweet)):
-        # getattr: records are slotted and have no __dict__.
-        keys = [f.name for f in fields(kind)]
-        with open(paths[name], "w", encoding="utf-8") as fh:
-            for record in (records[record_id] for record_id in sorted(records)):
-                obj = {key: getattr(record, key) for key in keys}
-                obj["created_at"] = format_instant(record.created_at)
-                fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
-    with open(paths["edges"], "w", encoding="utf-8") as fh:
-        for edge in sorted(corpus.follow_edges, key=lambda e: (e.source, e.target)):
-            fh.write(json.dumps({"source": edge.source, "target": edge.target},
-                                sort_keys=True) + "\n")
-    with open(paths["labels"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account_id", "group_name"])
-        for name in corpus.partition.names:
-            for member in sorted(corpus.partition[name]):
-                writer.writerow([member, name])
+    # Writing creates no reference cycles; a collection would only walk the heap.
+    with _gc_paused():
+        for name, records, kind in (("accounts", corpus.accounts, Account),
+                                    ("tweets", corpus.tweets, Tweet)):
+            _write_jsonl(paths[name], map(records.__getitem__, sorted(records)), kind)
+        with open(paths["edges"], "w", encoding="utf-8") as fh:
+            for edge in sorted(corpus.follow_edges, key=lambda e: (e.source, e.target)):
+                fh.write(json.dumps({"source": edge.source, "target": edge.target},
+                                    sort_keys=True) + "\n")
+        with open(paths["labels"], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["account_id", "group_name"])
+            for name in corpus.partition.names:
+                for member in sorted(corpus.partition[name]):
+                    writer.writerow([member, name])
     return paths
 
 

@@ -20,8 +20,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .corpus import (Account, Corpus, FollowEdge, GroupPartition, Tweet, make_corpus,
-                     merge_corpora)
+from .corpus import (Account, Corpus, FollowEdge, GroupPartition, Tweet, _gc_paused,
+                     make_corpus, merge_corpora)
 from .linkmap import DEFAULT_SEED_DOMAINS
 from .seedscan import SelfRevealCategory
 
@@ -223,43 +223,39 @@ def _assemble(ids, years, created_on, descriptions, followers, following, kind_c
     and ``seconds``. ``content(t, u, kind, nth)`` gives account u's nth tweet
     of its kind as (text, urls, hashtags, target, language); the target
     becomes the reply or reference target by kind, and a retweet's text gets
-    the ``RT @<target>: `` prefix.
+    the ``RT @<target>: `` prefix. The numeric inputs are numpy arrays.
     """
     accounts = []
     tweets = []
+    add = tweets.append
+    start = _EPOCH + timedelta(seconds=seconds)
+    minute = timedelta(minutes=1)
     t = 0
-    for u, account_id in enumerate(ids):
-        n_orig, n_reply, n_rtq = (int(c) for c in kind_counts[u])
-        n_quote = min(int(quote_counts[u]), n_rtq)
+    for u, (account_id, year, n_followers, n_following, counts, n_quote) in enumerate(zip(
+            ids, years.tolist(), followers.tolist(), following.tolist(), kind_counts.tolist(),
+            quote_counts.tolist())):
+        n_orig, n_reply, n_rtq = counts
+        n_quote = min(n_quote, n_rtq)
         accounts.append(Account(
-            account_id=account_id,
-            handle=f"user_{account_id}",
-            created_at=datetime(int(years[u]), *created_on, tzinfo=timezone.utc)
-            + timedelta(hours=u % 24),
-            follower_count=int(followers[u]),
-            following_count=int(following[u]),
-            tweet_count=n_orig + n_reply + n_rtq,
-            description=descriptions[u % len(descriptions)],
+            account_id, f"user_{account_id}",
+            datetime(year, *created_on, tzinfo=timezone.utc) + timedelta(hours=u % 24),
+            n_followers, n_following, n_orig + n_reply + n_rtq,
+            descriptions[u % len(descriptions)],
         ))
         local = 0
-        for kind, count in zip(("original", "reply", "retweet", "quote"),
-                               (n_orig, n_reply, n_rtq - n_quote, n_quote)):
+        for kind, count in (("original", n_orig), ("reply", n_reply),
+                            ("retweet", n_rtq - n_quote), ("quote", n_quote)):
             for nth in range(count):
                 text, urls, hashtags, target, language = content(t, u, kind, nth)
-                if kind == "retweet":
-                    text = f"RT @{target}: {text}"
-                tweets.append(Tweet(
-                    tweet_id=f"{account_id}-t{local:05d}",
-                    author_id=account_id,
-                    created_at=_EPOCH + timedelta(minutes=t, seconds=seconds),
-                    text=text,
-                    kind=kind,
-                    in_reply_to_account=target if kind == "reply" else None,
-                    referenced_account=target if kind in ("retweet", "quote") else None,
-                    hashtags=hashtags,
-                    urls=urls,
-                    language=language,
-                ))
+                reply_to = referenced = None
+                if kind == "reply":
+                    reply_to = target
+                elif kind != "original":
+                    referenced = target
+                    if kind == "retweet":
+                        text = f"RT @{target}: {text}"
+                add(Tweet(f"{account_id}-t{local:05d}", account_id, start + t * minute, text,
+                          kind, reply_to, referenced, hashtags, urls, language))
                 t += 1
                 local += 1
     return accounts, tweets
@@ -324,36 +320,51 @@ def generate_botnet(params: BotnetParams = BotnetParams()) -> Corpus:
     kind_counts[:, 1] = np.maximum(kind_counts[:, 1], [len(planted[u]) for u in range(n)])
 
     total = int(kind_counts.sum())
-    reveal_mask = rng.random(total) < params.self_reveal_rate
+    # Per-tweet draws become Python lists, which read faster than numpy scalars.
+    reveal_mask = (rng.random(total) < params.self_reveal_rate).tolist()
     reveal_weights = np.array([w for _, w, _ in SELF_REVEAL_EXAMPLES], dtype=float)
     reveal_template = rng.choice(len(SELF_REVEAL_EXAMPLES), size=total,
-                                 p=reveal_weights / reveal_weights.sum())
-    reveal_suffix = rng.integers(0, len(_REVEAL_SUFFIXES), total)
-    url_roll = rng.random(total)
-    seed_idx = rng.integers(0, len(params.seed_domains), total)
-    filler_idx = rng.integers(0, len(_FILLER_DOMAINS), total)
-    template_idx = rng.integers(0, len(_BOT_TEXT_TEMPLATES), total)
-    topic_idx = rng.integers(0, len(_BOT_TOPICS), total)
-    tag_count = rng.choice(3, size=total, p=[0.35, 0.45, 0.20])
+                                 p=reveal_weights / reveal_weights.sum()).tolist()
+    reveal_suffix = rng.integers(0, len(_REVEAL_SUFFIXES), total).tolist()
+    url_roll = rng.random(total).tolist()
+    seed_idx = rng.integers(0, len(params.seed_domains), total).tolist()
+    filler_idx = rng.integers(0, len(_FILLER_DOMAINS), total).tolist()
+    template_idx = rng.integers(0, len(_BOT_TEXT_TEMPLATES), total).tolist()
+    topic_idx = rng.integers(0, len(_BOT_TOPICS), total).tolist()
+    tag_count = rng.choice(3, size=total, p=[0.35, 0.45, 0.20]).tolist()
     tag_weights = np.array([1.0 / (i + 1) for i in range(len(_BOT_HASHTAGS))])
-    tag_first = rng.choice(len(_BOT_HASHTAGS), size=total, p=tag_weights / tag_weights.sum())
-    tag_second = rng.integers(0, len(_BOT_HASHTAGS), total)
-    outside_idx = rng.choice(len(_OUTSIDE_POOL), size=total, p=_OUTSIDE_WEIGHTS)
-    lang_roll = rng.random(total)
+    tag_first = rng.choice(len(_BOT_HASHTAGS), size=total,
+                           p=tag_weights / tag_weights.sum()).tolist()
+    tag_second = rng.integers(0, len(_BOT_HASHTAGS), total).tolist()
+    outside_idx = rng.choice(len(_OUTSIDE_POOL), size=total, p=_OUTSIDE_WEIGHTS).tolist()
+    lang_roll = rng.random(total).tolist()
     filler_share = min(0.04, 1.0 - params.seed_domain_share)
 
+    texts = [[template.format(topic=topic) for topic in _BOT_TOPICS]
+             for template in _BOT_TEXT_TEMPLATES]
+    reveal_texts = [[text + suffix for suffix in _REVEAL_SUFFIXES]
+                    for _, _, text in SELF_REVEAL_EXAMPLES]
+    seed_domains = params.seed_domains
+    seed_share = params.seed_domain_share
+    filler_cut = seed_share + filler_share
+
     def content(t, u, kind, nth):
-        text = _BOT_TEXT_TEMPLATES[template_idx[t]].format(topic=_BOT_TOPICS[topic_idx[t]])
         if reveal_mask[t]:
-            text = SELF_REVEAL_EXAMPLES[reveal_template[t]][2] + _REVEAL_SUFFIXES[reveal_suffix[t]]
+            text = reveal_texts[reveal_template[t]][reveal_suffix[t]]
+        else:
+            text = texts[template_idx[t]][topic_idx[t]]
         urls: tuple[str, ...] = ()
-        if url_roll[t] < params.seed_domain_share:
-            urls = (f"https://www.{params.seed_domains[seed_idx[t]]}/post/{t}",)
-        elif url_roll[t] < params.seed_domain_share + filler_share:
+        roll = url_roll[t]
+        if roll < seed_share:
+            urls = (f"https://www.{seed_domains[seed_idx[t]]}/post/{t}",)
+        elif roll < filler_cut:
             urls = (f"https://{_FILLER_DOMAINS[filler_idx[t]]}/article/{t}",)
-        tags = (_BOT_HASHTAGS[tag_first[t]],) if tag_count[t] >= 1 else ()
-        if tag_count[t] == 2 and _BOT_HASHTAGS[tag_second[t]] not in tags:
-            tags += (_BOT_HASHTAGS[tag_second[t]],)
+        n_tags = tag_count[t]
+        tags: tuple[str, ...] = ()
+        if n_tags:
+            tags = (_BOT_HASHTAGS[tag_first[t]],)
+            if n_tags == 2 and _BOT_HASHTAGS[tag_second[t]] not in tags:
+                tags += (_BOT_HASHTAGS[tag_second[t]],)
         if kind == "reply" and nth < len(planted[u]):
             target = ids[planted[u][nth]]
         else:
@@ -384,19 +395,22 @@ def generate_humans(params: HumanParams = HumanParams()) -> Corpus:
     quote_counts = rng.binomial(kind_counts[:, 2], 0.1)
 
     total = int(kind_counts.sum())
-    template_idx = rng.integers(0, len(_HUMAN_TEXT_TEMPLATES), total)
-    topic_idx = rng.integers(0, len(_HUMAN_TOPICS), total)
-    url_roll = rng.random(total)
-    filler_idx = rng.integers(0, len(_FILLER_DOMAINS), total)
-    tag_roll = rng.random(total)
-    tag_idx = rng.integers(0, len(_HUMAN_HASHTAGS), total)
-    outside_idx = rng.choice(len(_OUTSIDE_POOL), size=total, p=_OUTSIDE_WEIGHTS)
+    # Per-tweet draws become Python lists, which read faster than numpy scalars.
+    template_idx = rng.integers(0, len(_HUMAN_TEXT_TEMPLATES), total).tolist()
+    topic_idx = rng.integers(0, len(_HUMAN_TOPICS), total).tolist()
+    url_roll = rng.random(total).tolist()
+    filler_idx = rng.integers(0, len(_FILLER_DOMAINS), total).tolist()
+    tag_roll = rng.random(total).tolist()
+    tag_idx = rng.integers(0, len(_HUMAN_HASHTAGS), total).tolist()
+    outside_idx = rng.choice(len(_OUTSIDE_POOL), size=total, p=_OUTSIDE_WEIGHTS).tolist()
+    texts = [[template.format(topic=topic) for topic in _HUMAN_TOPICS]
+             for template in _HUMAN_TEXT_TEMPLATES]
 
     def content(t, u, kind, nth):
-        text = _HUMAN_TEXT_TEMPLATES[template_idx[t]].format(topic=_HUMAN_TOPICS[topic_idx[t]])
         urls = (f"https://{_FILLER_DOMAINS[filler_idx[t]]}/story/{t}",) if url_roll[t] < 0.10 else ()
         tags = (_HUMAN_HASHTAGS[tag_idx[t]],) if tag_roll[t] < 0.25 else ()
-        return text, urls, tags, _OUTSIDE_POOL[outside_idx[t]], "en"
+        return (texts[template_idx[t]][topic_idx[t]], urls, tags,
+                _OUTSIDE_POOL[outside_idx[t]], "en")
 
     accounts, tweets = _assemble(ids, years, (6, 15), ("",), followers, following,
                                  kind_counts, quote_counts, content, seconds=30)
@@ -432,7 +446,9 @@ def fox8_preset(seed: int = 0, n_bots: int = 1140, n_humans: int = 1140,
                                   **(human_fields or {})})
     if human_params.n_humans and human_params.group_label == bot_params.group_label:
         raise ValueError(f"bots and humans share the group label {bot_params.group_label!r}")
-    botnet = generate_botnet(bot_params)
-    if human_params.n_humans == 0:
-        return botnet
-    return merge_corpora(botnet, generate_humans(human_params))
+    # Generation creates no reference cycles; a collection would only walk the heap.
+    with _gc_paused():
+        botnet = generate_botnet(bot_params)
+        if human_params.n_humans == 0:
+            return botnet
+        return merge_corpora(botnet, generate_humans(human_params))

@@ -1,9 +1,12 @@
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from array import array
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botsieve import corpus as cp
+from botsieve import synthnet as sn
 from conftest import account, corpus_of, tweet
 
 ACCOUNT_LINES = [
@@ -418,16 +422,33 @@ def test_equal_values_in_one_load_share_one_object(tmp_path):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled, monkeypatch):
+    # Also export_corpus and fox8_preset, which pause it the same way; each
+    # is checked on success and on an error raised while the collector is off.
     paths = write_corpus_files(tmp_path)
     dup = write_jsonl(tmp_path / "dup.jsonl", TWEET_LINES + [TWEET_LINES[0]])
+    unwritable = cp.make_corpus([], [dataclasses.replace(tweet("t1", "a1"), created_at="soon")])
+    seen = []
+    format_instant = cp.format_instant
+    monkeypatch.setattr(cp, "format_instant",
+                        lambda dt: seen.append(gc.isenabled()) or format_instant(dt))
     was_enabled = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        cp.load_corpus(paths["accounts"], paths["tweets"], paths["edges"])
+        corpus = cp.load_corpus(paths["accounts"], paths["tweets"], paths["edges"])
         assert gc.isenabled() is enabled
         with pytest.raises(cp.CorpusError):
             cp.load_corpus(paths["accounts"], dup)
+        assert gc.isenabled() is enabled
+        cp.export_corpus(corpus, tmp_path / "out")
+        assert gc.isenabled() is enabled and seen and not any(seen)
+        with pytest.raises(AttributeError):
+            cp.export_corpus(unwritable, tmp_path / "out")
+        assert gc.isenabled() is enabled
+        sn.fox8_preset(seed=1, n_bots=6, n_humans=3, bot_fields={"follow_degree_mean": 2.0})
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="unsatisfiable"):
+            sn.fox8_preset(seed=1, n_bots=6, n_humans=3, bot_fields={"follow_degree_mean": 5.5})
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
@@ -569,6 +590,21 @@ def test_new_string_checks_come_after_every_older_rule(tmp_path):
         ("bad-field:entities", 8)]
 
 
+@pytest.mark.parametrize("key", ["hashtags", "urls"])
+@pytest.mark.parametrize("value", [0, 0.0, False, {}], ids=["0", "0.0", "false", "{}"])
+def test_falsy_non_list_entities_are_a_bad_field(tmp_path, key, value):
+    # Only absent, null and "" read as an empty list. The check comes after
+    # every older one, so a line that also breaks an older rule keeps it.
+    tweets = [*TWEET_LINES, {**TWEET_LINES[0], "tweet_id": "t4", key: value},
+              {**TWEET_LINES[0], "tweet_id": "t5", key: value, "author_id": None},
+              {**TWEET_LINES[0], "tweet_id": "t6", key: value, "language": 3}]
+    paths = write_corpus_files(tmp_path, tweets=tweets)
+    corpus = cp.load_corpus(paths["accounts"], paths["tweets"])
+    assert sorted(corpus.tweets) == ["t1", "t2", "t3"]
+    assert [(v.rule, v.line) for v in corpus.load_report] == [
+        ("bad-field:entities", 4), ("missing-field:author_id", 5), ("bad-field:language", 6)]
+
+
 TWEET_JSON = json.dumps({**TWEET_LINES[0], "tweet_id": "x-planted"})
 
 
@@ -602,7 +638,8 @@ def test_object_padded_with_unicode_whitespace_loads(tmp_path, pad):
 
 
 # Reference copies of the record parsers and parse_instant as they were before
-# the one-pass loader, apart from ``share`` (an identity here). They coerce a
+# the one-pass loader, apart from ``share`` (an identity here), plus the later
+# rule that a falsy non-list hashtags/urls value is bad. They coerce a
 # non-string text, language, handle, description or hashtag/URL element with
 # str(), which the loader now rejects, so the property below only draws strings
 # for those fields.
@@ -688,7 +725,7 @@ def ref_parse_tweet(obj):
         raise cp._RecordError("bad-field:entities", "hashtags/urls must be lists")
     hashtags = tuple(t for t in (cp.normalize_hashtag(str(tag)) for tag in raw_tags) if t)
     language = obj.get("language")
-    return cp.Tweet(
+    record = cp.Tweet(
         tweet_id=ref_as_id(obj, "tweet_id"),
         author_id=ref_as_id(obj, "author_id"),
         created_at=ref_as_instant(obj, "created_at"),
@@ -700,6 +737,12 @@ def ref_parse_tweet(obj):
         urls=tuple(str(u) for u in raw_urls),
         language=str(language) if language not in (None, "") else None,
     )
+    # Added to the reference with the loader's rule: a falsy value other than
+    # absent, null and "" (0, 0.0, false, {}) is bad, checked after all else.
+    for value in (obj.get("hashtags"), obj.get("urls")):
+        if value not in (None, "") and not isinstance(value, list):
+            raise cp._RecordError("bad-field:entities", "hashtags/urls must be lists")
+    return record
 
 
 def outcome(parse, obj):
@@ -804,3 +847,105 @@ def near_canonical(draw):
 @settings(max_examples=2000, derandomize=True, deadline=None)
 def test_parse_instant_matches_the_reference(value):
     assert instant_outcome(cp.parse_instant, value) == instant_outcome(ref_parse_instant, value)
+
+
+# Reference copies of format_instant and of the JSONL part of export_corpus as
+# they were before the line writer: json.dumps per record, built from getattr.
+
+def ref_format_instant(dt):
+    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+def ref_export_corpus(corpus, out):
+    out.mkdir(parents=True, exist_ok=True)
+    for name, records, kind in (("accounts.jsonl", corpus.accounts, cp.Account),
+                                ("tweets.jsonl", corpus.tweets, cp.Tweet)):
+        keys = [f.name for f in dataclasses.fields(kind)]
+        with open(out / name, "w", encoding="utf-8") as fh:
+            for record in (records[record_id] for record_id in sorted(records)):
+                obj = {key: getattr(record, key) for key in keys}
+                obj["created_at"] = ref_format_instant(record.created_at)
+                fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+AWARE_INSTANT = st.datetimes(
+    min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
+    timezones=st.just(timezone.utc) | st.builds(timezone, st.timedeltas(
+        min_value=-timedelta(hours=23, minutes=59), max_value=timedelta(hours=23, minutes=59))))
+# Strings with what a JSON string encoder must escape or pass through.
+EXPORT_TEXT = st.lists(st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "/", "\u00e9",
+                                        "\u2028", "\U0001f916", ""]) | st.text(max_size=3),
+                       max_size=4).map("".join)
+
+
+@st.composite
+def export_corpora(draw):
+    """Corpora with every field drawn, ids all strings or all integers (a
+    corpus with both cannot be sorted), entities as tuples or lists."""
+    ident = st.integers(-3, 10**6) if draw(st.booleans()) else EXPORT_TEXT
+    entities = st.lists(EXPORT_TEXT, max_size=3)
+    accounts = draw(st.lists(st.builds(
+        cp.Account, account_id=ident, handle=EXPORT_TEXT, created_at=AWARE_INSTANT,
+        follower_count=st.integers(0, 10**6), following_count=st.integers(0, 10**6),
+        tweet_count=st.integers(0, 10**6), description=EXPORT_TEXT),
+        max_size=3, unique_by=lambda a: a.account_id))
+    tweets = draw(st.lists(st.builds(
+        cp.Tweet, tweet_id=ident, author_id=ident, created_at=AWARE_INSTANT, text=EXPORT_TEXT,
+        kind=st.sampled_from(sorted(cp.VALID_KINDS)) | EXPORT_TEXT,
+        in_reply_to_account=st.none() | ident, referenced_account=st.none() | ident,
+        hashtags=entities.map(tuple) | entities, urls=entities.map(tuple),
+        language=st.none() | EXPORT_TEXT),
+        max_size=6, unique_by=lambda t: t.tweet_id))
+    return cp.make_corpus(accounts, tweets)
+
+
+# Values no loader makes, in one corpus: integer ids and counts that are not
+# integers, and hashtags (1,) and (True,), which are equal tuples that encode
+# differently; also a year below 1000, a non-UTC offset and microseconds.
+ODD_CORPUS = cp.make_corpus(
+    [cp.Account(7, None, datetime(999, 12, 31, 23, 0, 0, 5, tzinfo=timezone(timedelta(hours=-5))),
+                True, 2.5, -1, ("bio",))],
+    [cp.Tweet("t1", 7, datetime(2023, 1, 1, tzinfo=timezone(timedelta(hours=5, minutes=30))),
+              "\u00e9 \"q\" \\ \u2028 \U0001f916", "original", None, 8, (1,), ("",), "\x00"),
+     cp.Tweet("t2", 7, datetime(2023, 1, 1, 0, 0, 1, tzinfo=timezone.utc), "", "reply",
+              9, None, (True,), (), None),
+     cp.Tweet("t3", 7, datetime(2023, 1, 1, 0, 0, 2, tzinfo=timezone.utc), "x", "quote",
+              None, None, ["a", 1.5], (None,), "en")])
+
+
+@example(ODD_CORPUS)
+@given(export_corpora())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_export_writes_the_bytes_json_dumps_writes(corpus):
+    with tempfile.TemporaryDirectory() as tmp:
+        ref, new = Path(tmp) / "ref", Path(tmp) / "new"
+        ref_export_corpus(corpus, ref)
+        cp.export_corpus(corpus, new)
+        for name in ("accounts.jsonl", "tweets.jsonl"):
+            assert (new / name).read_bytes() == (ref / name).read_bytes()
+
+
+@example(datetime(999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone(timedelta(hours=-5))))
+@example(datetime(2023, 1, 1, 12, tzinfo=timezone(timedelta(seconds=-1, microseconds=7))))
+@given(AWARE_INSTANT)
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_format_instant_matches_the_reference(dt):
+    text = cp.format_instant(dt)
+    assert text == ref_format_instant(dt)
+    assert cp.parse_instant(text) == dt
+
+
+def test_format_instant_reads_a_naive_datetime_as_utc_in_any_local_zone():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "TZ": "EST5EDT,M3.2.0,M11.1.0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("from datetime import datetime, timezone\n"
+            "from botsieve.corpus import format_instant, parse_instant\n"
+            "naive = datetime(2023, 1, 1, 12)\n"
+            "print(naive.astimezone(timezone.utc).hour, format_instant(naive),\n"
+            "      format_instant(parse_instant('2023-01-01T12:00:00')))\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    # 17: the local zone is in force (12:00 in New York is 17:00 UTC).
+    assert result.stdout.split() == ["17", "2023-01-01T12:00:00Z", "2023-01-01T12:00:00Z"]

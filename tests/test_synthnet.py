@@ -73,6 +73,50 @@ def test_generated_files_are_pinned(tmp_path):
     assert digests == PINNED_FOX8_SMALL
 
 
+# The same for a botnet alone in which most tweets carry a URL (seed-domain
+# share 0.5) and 30% are self-revealing, so those branches of the generator
+# and of the writer carry most of the bytes.
+PINNED_URL_HEAVY_BOTNET = {
+    "accounts": "ae2eb6576956800b351ef5703733cbf5601de0741f4d5e8602ca35239af3f8ed",
+    "tweets": "c6580129ca21a20be8fb511f44d21927af97d5d63157cc3de593f7dcdc4f0f8c",
+    "edges": "6c79000c9c3c9bd9ddab04736679c566cdf69db32d37fa7a2dba9ee370ff22b0",
+    "labels": "86307c8c50af71dba840ba900efbe8bae82fae9d828f64c89671cf216c6dbbf4",
+}
+
+
+def test_url_heavy_botnet_files_are_pinned(tmp_path):
+    corpus = sn.fox8_preset(seed=5, n_bots=40, n_humans=0,
+                            bot_fields={"seed_domain_share": 0.5, "self_reveal_rate": 0.3})
+    tweets = list(corpus.tweets.values())
+    assert sum(bool(t.urls) for t in tweets) > len(tweets) / 2
+    assert sum("AI language model" in t.text for t in tweets) > len(tweets) / 5
+    paths = export_corpus(corpus, tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in paths.items()}
+    assert digests == PINNED_URL_HEAVY_BOTNET
+
+
+def test_fox8_preset_generates_each_population_once(monkeypatch):
+    # Calls go through the module globals, where a caller (a tracer, say)
+    # may have wrapped them.
+    calls = {"generate_botnet": 0, "generate_humans": 0}
+
+    def counted(name):
+        original = getattr(sn, name)
+
+        def wrapper(params):
+            calls[name] += 1
+            return original(params)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sn, name, counted(name))
+    corpus = sn.fox8_preset(seed=2, n_bots=8, n_humans=5,
+                            bot_fields={"follow_degree_mean": 2.0, "min_tweets": 2})
+    assert calls == {"generate_botnet": 1, "generate_humans": 1}
+    assert corpus.partition.names == ("bot", "human")
+
+
 def test_planted_replies_come_first_and_the_rest_go_outside():
     params = sn.BotnetParams(n_bots=30, within_reply_pair_rate=0.05, rng_seed=8)
     corpus = sn.generate_botnet(params)
