@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -86,13 +88,17 @@ def ternary_bin(points, resolution: int) -> TernaryBinGrid:
 
 
 def hashtag_ranking(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
-    """Top-k hashtags over all tweet kinds of the group, ties lexicographic."""
+    """Top-k hashtags over all tweet kinds of the group's distinct members,
+    ties lexicographic."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    # Few distinct hashtag tuples recur over many tweets: count those first.
+    tag_tuples = Counter(map(attrgetter("hashtags"),
+                             chain.from_iterable(map(corpus.tweets_of, set(group)))))
     counts: Counter[str] = Counter()
-    for account_id in group:
-        for tweet in corpus.tweets_of(account_id):
-            counts.update(tweet.hashtags)
+    for tags, n in tag_tuples.items():
+        for tag in tags:
+            counts[tag] += n
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 
@@ -101,18 +107,12 @@ def amplified_accounts(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
     if k < 1:
         raise ValueError("k must be >= 1")
     members = frozenset(group)
-    counts: Counter[str] = Counter()
-    for account_id in members:
-        for tweet in corpus.tweets_of(account_id):
-            if tweet.kind == "reply":
-                target = tweet.in_reply_to_account
-            elif tweet.kind in ("retweet", "quote"):
-                target = tweet.referenced_account
-            else:
-                continue
-            if target is not None and target not in members:
-                counts[target] += 1
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+    targets = Counter(
+        tweet.in_reply_to_account if tweet.kind == "reply" else tweet.referenced_account
+        for tweet in chain.from_iterable(map(corpus.tweets_of, members))
+        if tweet.kind in ("reply", "retweet", "quote"))
+    counts = [(t, n) for t, n in targets.items() if t is not None and t not in members]
+    return sorted(counts, key=lambda item: (-item[1], item[0]))[:k]
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,9 @@ class ProfileSummary:
 
 
 def profile_summary(corpus: Corpus, group) -> ProfileSummary:
-    """Mean/SD (population) of profile counters plus a creation-year histogram."""
-    members = sorted(group)
+    """Mean/SD (population) of profile counters over the group's distinct
+    members, plus a creation-year histogram."""
+    members = sorted(set(group))
     if not members:
         raise ValueError("group must be non-empty")
     accounts = [corpus.accounts[m] for m in members if m in corpus.accounts]

@@ -17,6 +17,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -216,32 +217,37 @@ class Corpus:
     each record was read from, in the order of ``accounts``/``tweets``;
     ``validate()`` locates records by it. A corpus not read from files has
     none.
+
+    The per-author index is built on first use and then kept: each author's
+    ``Tweet`` records in (created_at, tweet_id) order, authors sorted by id.
+    ``tweets_of`` returns its tuples; ``tweets_by_author`` is derived from it.
     """
 
     accounts: dict[str, Account]
     tweets: dict[str, Tweet]
     follow_edges: frozenset[FollowEdge]
     partition: GroupPartition
-    tweets_by_author: dict[str, tuple[str, ...]] = field(compare=False, default_factory=dict)
     load_report: ValidationReport = field(compare=False, default_factory=ValidationReport)
     line_numbers: dict[str, tuple[str, array]] = field(compare=False, default_factory=dict)
 
-    def __post_init__(self):
+    @cached_property
+    def _author_index(self) -> dict[str, tuple[Tweet, ...]]:
         index: dict[str, list[Tweet]] = {}
         for tweet in self.tweets.values():
             index.setdefault(tweet.author_id, []).append(tweet)
         order = attrgetter("created_at", "tweet_id")
         for tweets in index.values():
             tweets.sort(key=order)
-        # tuple() of a list, not of a generator: a tuple built from a
-        # generator is grown and then shrunk, which left about 0.4 MB more
-        # RSS after a fox8 load.
-        object.__setattr__(self, "tweets_by_author", {
-            author: tuple([tweet.tweet_id for tweet in tweets])
-            for author, tweets in sorted(index.items())})
+        return {author: tuple(tweets) for author, tweets in sorted(index.items())}
 
     def tweets_of(self, account_id: str) -> tuple[Tweet, ...]:
-        return tuple(self.tweets[tid] for tid in self.tweets_by_author.get(account_id, ()))
+        return self._author_index.get(account_id, ())
+
+    @property
+    def tweets_by_author(self) -> dict[str, tuple[str, ...]]:
+        """Tweet ids per author, in the index's order."""
+        return {author: tuple([tweet.tweet_id for tweet in tweets])
+                for author, tweets in self._author_index.items()}
 
     @property
     def n_accounts(self) -> int:
@@ -769,9 +775,9 @@ def cap_tweets(corpus: Corpus, max_per_account: int) -> Corpus:
     if max_per_account < 1:
         raise ValueError("max_per_account must be >= 1")
     keep: set[str] = set()
-    for tweet_ids in corpus.tweets_by_author.values():
-        # tweets_by_author is ordered by (created_at, tweet_id).
-        keep.update(tweet_ids[-max_per_account:])
+    for tweets in corpus._author_index.values():
+        # The index is ordered by (created_at, tweet_id).
+        keep.update([tweet.tweet_id for tweet in tweets[-max_per_account:]])
     kept = sorted(keep)
     line_numbers = dict(corpus.line_numbers)
     if "tweets" in line_numbers:

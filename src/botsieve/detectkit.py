@@ -270,14 +270,14 @@ def concat_and_score(texts, detector: TextDetector, separator: str = "\n") -> fl
 def score_corpus(corpus: Corpus, detector: TextDetector,
                  rules: QualificationRules = QualificationRules(),
                  group=None):
-    """Score every account (or a group); returns (scores by id, n without any
-    qualified tweet).
+    """Score every account (or a group's distinct members); returns (scores
+    by id, n without any qualified tweet).
 
     Each account's score equals ``score_account(id, qualify_tweets(corpus, id,
     rules), detector)``, but each distinct raw (text, kind) pair is processed
     and scored once per call, so the detector must be deterministic.
     """
-    account_ids = sorted(group) if group is not None else sorted(corpus.accounts)
+    account_ids = sorted(set(group) if group is not None else corpus.accounts)
     # (raw text, kind) -> () when processing leaves nothing, else (score,).
     memo: dict[tuple[str, str], tuple[float, ...]] = {}
     scores: dict[str, AccountScore] = {}

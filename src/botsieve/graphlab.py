@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,38 +52,25 @@ def build_graph(corpus: Corpus, edge_kind: str,
         raise ValueError(f"edge_kind must be one of {EDGE_KINDS}, got {edge_kind!r}")
     restriction = frozenset(node_restriction) if node_restriction is not None else None
 
-    pairs: list[tuple[str, str]] = []
     if edge_kind == "follow":
         pairs = [(e.source, e.target) for e in corpus.follow_edges]
     else:
-        for tweet in corpus.tweets.values():
-            if tweet.author_id not in corpus.accounts:
-                continue
-            if edge_kind == "reply":
-                if tweet.kind != "reply" or tweet.in_reply_to_account is None:
-                    continue
-                pairs.append((tweet.author_id, tweet.in_reply_to_account))
-            else:
-                if tweet.kind != "retweet" or tweet.referenced_account is None:
-                    continue
-                pairs.append((tweet.author_id, tweet.referenced_account))
-
-    weights: Counter[tuple[str, str]] = Counter()
-    endpoints: set[str] = set()
-    for source, target in pairs:
-        if source == target:
-            continue
-        if restriction is not None and (source not in restriction or target not in restriction):
-            continue
-        weights[(source, target)] += 1
-        endpoints.add(source)
-        endpoints.add(target)
+        # Only account authors count, so only their tweets are walked.
+        authors = (corpus.accounts if restriction is None
+                   else [a for a in corpus.accounts if a in restriction])
+        target_of = attrgetter(
+            "in_reply_to_account" if edge_kind == "reply" else "referenced_account")
+        pairs = [(author, target_of(tweet)) for author in authors
+                 for tweet in corpus.tweets_of(author) if tweet.kind == edge_kind]
+    edges = {(source, target): weight for (source, target), weight in Counter(pairs).items()
+             if target is not None and source != target
+             and (restriction is None or (source in restriction and target in restriction))}
 
     if restriction is not None:
         nodes = restriction
     else:
-        nodes = frozenset(corpus.accounts) | frozenset(endpoints)
-    return InteractionGraph(edge_kind=edge_kind, nodes=nodes, edges=dict(weights))
+        nodes = frozenset(corpus.accounts).union(chain.from_iterable(edges))
+    return InteractionGraph(edge_kind=edge_kind, nodes=nodes, edges=edges)
 
 
 @dataclass(frozen=True)

@@ -68,23 +68,21 @@ def expand_by_domains(corpus: Corpus, seeds) -> frozenset[str]:
     if not seed_set:
         raise ValueError("seed domain set must be non-empty")
     matched = set()
-    tweets = corpus.tweets
-    for author, tweet_ids in corpus.tweets_by_author.items():
-        for tweet_id in tweet_ids:
-            tweet = tweets[tweet_id]
-            # A tweet without URLs has no domains; most tweets have none.
-            if tweet.urls and seed_set.intersection(extract_domains(tweet).domains):
-                matched.add(author)
-                break
+    for tweet in corpus.tweets.values():
+        # A tweet without URLs has no domains; most tweets have none.
+        if (tweet.urls and tweet.author_id not in matched
+                and seed_set.intersection(extract_domains(tweet).domains)):
+            matched.add(tweet.author_id)
     return frozenset(matched)
 
 
 def domain_frequency(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
-    """Top-k domains linked by the group, tweet-level multiplicity, ties lexicographic."""
+    """Top-k domains linked by the group's distinct members, tweet-level
+    multiplicity, ties lexicographic."""
     if k < 1:
         raise ValueError("k must be >= 1")
     counts: Counter[str] = Counter()
-    for account_id in group:
+    for account_id in set(group):
         for tweet in corpus.tweets_of(account_id):
             if tweet.urls:
                 counts.update(extract_domains(tweet).domains)
@@ -107,7 +105,8 @@ class DomainShareReport:
 
 
 def domain_share_profiles(corpus: Corpus, group, targets) -> DomainShareReport:
-    """Per-account probability of sharing a target domain, plus the group mean.
+    """Per-account probability of sharing a target domain, plus the mean over
+    the group's distinct members.
 
     The denominator is all of the account's tweets, so the group mean reads
     as "this fraction of the group's tweets link to a target site".
@@ -116,7 +115,7 @@ def domain_share_profiles(corpus: Corpus, group, targets) -> DomainShareReport:
     if not target_set:
         raise ValueError("target domain set must be non-empty")
     profiles = []
-    for account_id in sorted(group):
+    for account_id in sorted(set(group)):
         tweets = corpus.tweets_of(account_id)
         link_tweets = 0
         target_tweets = 0

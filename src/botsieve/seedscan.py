@@ -57,8 +57,8 @@ def find_phrase_tweets(corpus: Corpus, query: PhraseQuery | None = None) -> dict
     # Raw text -> its first matching phrase, or None.
     matches: dict[str, str | None] = {}
     hits: dict[str, str] = {}
-    for tweet_id in sorted(corpus.tweets):
-        text = corpus.tweets[tweet_id].text
+    for tweet_id, tweet in corpus.tweets.items():
+        text = tweet.text
         try:
             phrase = matches[text]
         except KeyError:
@@ -68,7 +68,7 @@ def find_phrase_tweets(corpus: Corpus, query: PhraseQuery | None = None) -> dict
                  if needle in haystack), None)
         if phrase is not None:
             hits[tweet_id] = phrase
-    return hits
+    return dict(sorted(hits.items()))
 
 
 class SelfRevealCategory(Enum):

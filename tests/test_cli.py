@@ -522,3 +522,43 @@ def test_fuzzed_auxiliary_lines_exit_0_1_or_2(tiny_dir, name, lines):
         commands = [argv, ["ttest", *argv[1:]]] if name == "scores.csv" else [argv]
         for command in commands:
             assert run(["--json", *command]) in (0, 1, 2), (command, lines)
+
+
+def test_shuffled_tweet_lines_leave_every_order_as_it_was(capsys, tmp_path):
+    import random
+
+    from botsieve.corpus import load_corpus
+
+    authors = ("a10", "a2", "a1", "b")
+    reveal = "As an AI language model, I cannot browse."
+    # Unpadded ids ("t10" < "t2"), and two instants, so each author has ties.
+    tweets = [tweet(f"t{n}", authors[n % 4], kind=("original", "reply", "retweet")[n % 3],
+                    text=reveal if n % 5 == 0 else f"plain {n}",
+                    created=f"2023-01-0{1 + n // 4 % 2}T00:00:00Z",
+                    reply_to="x" if n % 3 == 1 else None, ref="x" if n % 3 == 2 else None)
+              for n in range(24)]
+    corpus_dir = tmp_path / "corpus"
+    export_corpus(corpus_of([account(a) for a in authors], tweets), corpus_dir)
+    path = corpus_dir / "tweets.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    shuffled = lines[:]
+    random.Random(5).shuffle(shuffled)
+    assert shuffled != lines
+    path.write_bytes(b"".join(shuffled))
+
+    run_json(capsys, ["scan-phrases", "--corpus-dir", str(corpus_dir), "--out", str(tmp_path / "s")])
+    with open(tmp_path / "s" / "hits.csv", newline="") as fh:
+        hit_ids = [row["tweet_id"] for row in csv.DictReader(fh)]
+    assert hit_ids == sorted(f"t{n}" for n in range(0, 24, 5))
+    run_json(capsys, ["content-stats", "--corpus-dir", str(corpus_dir), "--out", str(tmp_path / "c")])
+    with open(tmp_path / "c" / "ternary_points.csv", newline="") as fh:
+        assert [row["account_id"] for row in csv.DictReader(fh)] == sorted(authors)
+
+    loaded = load_corpus(corpus_dir / "accounts.jsonl", path)
+    # a2 wrote t1, t9, t17 on Jan 1 and t5, t13, t21 on Jan 2; ties go to the id.
+    assert [t.tweet_id for t in loaded.tweets_of("a2")] == ["t1", "t17", "t9", "t13", "t21", "t5"]
+    for author in authors:
+        expected = sorted((t for t in loaded.tweets.values() if t.author_id == author),
+                          key=lambda t: (t.created_at, t.tweet_id))
+        assert loaded.tweets_of(author) == tuple(expected)
+        assert loaded.tweets_by_author[author] == tuple(t.tweet_id for t in expected)

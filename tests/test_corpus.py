@@ -949,3 +949,33 @@ def test_format_instant_reads_a_naive_datetime_as_utc_in_any_local_zone():
     assert result.returncode == 0, result.stderr
     # 17: the local zone is in force (12:00 in New York is 17:00 UTC).
     assert result.stdout.split() == ["17", "2023-01-01T12:00:00Z", "2023-01-01T12:00:00Z"]
+
+
+INDEX = "_author_index"
+
+
+def test_per_author_index_is_built_on_first_use(tmp_path, monkeypatch):
+    fragments = []
+    merge = sn.merge_corpora
+
+    def recording_merge(*parts):
+        fragments.extend(parts)
+        return merge(*parts)
+
+    monkeypatch.setattr(sn, "merge_corpora", recording_merge)
+    generated = sn.fox8_preset(seed=2, n_bots=20, n_humans=6)
+    assert len(fragments) == 2
+    paths = cp.export_corpus(generated, tmp_path)
+    loaded = cp.load_corpus(paths["accounts"], paths["tweets"], paths["edges"], paths["labels"])
+    made = cp.make_corpus(list(loaded.accounts.values()), list(loaded.tweets.values()))
+    merged = cp.merge_corpora(made, cp.make_corpus([], []))
+    for corpus in (*fragments, generated, loaded, made, merged):
+        assert INDEX not in vars(corpus)
+
+    author = next(iter(loaded.tweets.values())).author_id
+    assert loaded.tweets_of(author) is loaded.tweets_of(author)
+    index = vars(loaded)[INDEX]
+    assert loaded.tweets_by_author == {a: tuple(t.tweet_id for t in ts) for a, ts in index.items()}
+    assert vars(loaded)[INDEX] is index
+    assert made.tweets_by_author == loaded.tweets_by_author
+    assert INDEX in vars(made) and INDEX not in vars(merged)
