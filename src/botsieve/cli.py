@@ -318,13 +318,13 @@ def _cmd_scan_phrases(args):
         if args.rules else seedscan.DEFAULT_RULESET
     hits = seedscan.find_phrase_tweets(corpus, query)
     out = _out_dir(args)
-    hit_rows = [(tid, corpus.tweets[tid].author_id, phrase) for tid, phrase in hits.items()]
+    hit_rows = [(tid, corpus.table.author_of(tid), phrase) for tid, phrase in hits.items()]
     category_rows = _category_rows(corpus, hits, ruleset)
     outputs = {
         "hits": _write_csv(out / "hits.csv", ("tweet_id", "account_id", "phrase"), hit_rows),
         "categories": _write_csv(
             out / "categories.csv", ("tweet_id", "category"),
-            [(tid, seedscan.categorize_self_revealing(corpus.tweets[tid].text, ruleset).value)
+            [(tid, seedscan.categorize_self_revealing(corpus.table.text_of(tid), ruleset).value)
              for tid in hits]),
         "category_summary": _write_csv(out / "category_summary.csv", CATEGORY_COLUMNS,
                                        category_rows),
@@ -552,8 +552,10 @@ def _cmd_report(args):
     pair_rows = []
     usable = GroupPartition({name: corpus.partition[name] for name in corpus.partition.names
                              if len(corpus.partition[name]) >= 2})
+    # Only member-to-member edges count, so the graphs are built over the members.
+    members = sorted(set().union(*usable.groups.values()))
     for kind in ("reply", "retweet") if usable.groups else ():
-        graph = graphlab.build_graph(corpus, kind)
+        graph = graphlab.build_graph(corpus, kind, node_restriction=members)
         pair_rows += [(kind, *row) for row in _pair_rows(graph, usable)]
     outputs["fig2_pairrates"] = _write_csv(
         out / "fig2_pairrates.csv", ("edge_kind", *PAIR_COLUMNS), pair_rows)

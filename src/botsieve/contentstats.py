@@ -12,12 +12,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import QUOTE, REPLY, RETWEET, Corpus
 
 
 @dataclass(frozen=True)
@@ -30,25 +28,36 @@ class TernaryPoint:
         return (self.pct_original, self.pct_reply, self.pct_retweet_quote)
 
 
+def _mix(counts: list[int]) -> TernaryPoint | None:
+    """The mix point of per-kind tweet counts, in table kind order; None for no tweets."""
+    total = sum(counts)
+    if not total:
+        return None
+    original, reply, retweet, quote = counts[:4]
+    return TernaryPoint(
+        pct_original=100.0 * original / total,
+        pct_reply=100.0 * reply / total,
+        pct_retweet_quote=100.0 * (retweet + quote) / total,
+    )
+
+
 def tweet_mix(corpus: Corpus, account_id: str) -> TernaryPoint | None:
     """Percentage mix of the account's tweets; None when it has no tweets."""
-    tweets = corpus.tweets_of(account_id)
-    if not tweets:
-        return None
-    kinds = Counter(t.kind for t in tweets)
-    total = len(tweets)
-    return TernaryPoint(
-        pct_original=100.0 * kinds["original"] / total,
-        pct_reply=100.0 * kinds["reply"] / total,
-        pct_retweet_quote=100.0 * (kinds["retweet"] + kinds["quote"]) / total,
-    )
+    table = corpus.table
+    kinds = table.kind[table.account_mask([account_id])[table.author]]
+    return _mix(np.bincount(kinds, minlength=len(table.kinds)).tolist())
 
 
 def group_mix_points(corpus: Corpus, group) -> dict[str, TernaryPoint]:
     """Mix point per group member, skipping accounts with no tweets."""
+    table = corpus.table
+    k = len(table.kinds)
+    counts = np.bincount(table.author.astype(np.int64) * k + table.kind,
+                         minlength=len(table.account_ids) * k).reshape(-1, k).tolist()
     points = {}
     for account_id in sorted(group):
-        point = tweet_mix(corpus, account_id)
+        code = table.account_code.get(account_id)
+        point = None if code is None else _mix(counts[code])
         if point is not None:
             points[account_id] = point
     return points
@@ -92,12 +101,13 @@ def hashtag_ranking(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
     ties lexicographic."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    # Few distinct hashtag tuples recur over many tweets: count those first.
-    tag_tuples = Counter(map(attrgetter("hashtags"),
-                             chain.from_iterable(map(corpus.tweets_of, set(group)))))
+    # Few distinct hashtag lists recur over many tweets: count those first.
+    table = corpus.table
+    members = table.account_mask(set(group))[table.author]
     counts: Counter[str] = Counter()
-    for tags, n in tag_tuples.items():
-        for tag in tags:
+    for tags, n in zip(table.hashtag_lists, np.bincount(
+            table.hashtags[members], minlength=len(table.hashtag_lists)).tolist()):
+        for tag in tags if n else ():
             counts[tag] += n
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
 
@@ -106,13 +116,14 @@ def amplified_accounts(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
     """Top-k outside accounts the group retweets, quotes, or replies to."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    members = frozenset(group)
-    targets = Counter(
-        tweet.in_reply_to_account if tweet.kind == "reply" else tweet.referenced_account
-        for tweet in chain.from_iterable(map(corpus.tweets_of, members))
-        if tweet.kind in ("reply", "retweet", "quote"))
-    counts = [(t, n) for t, n in targets.items() if t is not None and t not in members]
-    return sorted(counts, key=lambda item: (-item[1], item[0]))[:k]
+    table = corpus.table
+    members = table.account_mask(frozenset(group))
+    target = np.where(table.kind == REPLY, table.reply_to, table.referenced)
+    keep = (members[table.author] & np.isin(table.kind, (REPLY, RETWEET, QUOTE))
+            & (target >= 0) & ~members[target])
+    counts = np.bincount(target[keep], minlength=len(table.account_ids)).tolist()
+    ranked = [(account_id, n) for account_id, n in zip(table.account_ids, counts) if n]
+    return sorted(ranked, key=lambda item: (-item[1], item[0]))[:k]
 
 
 @dataclass(frozen=True)

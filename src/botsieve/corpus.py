@@ -1,8 +1,8 @@
 """Offline social-media corpus: loading, validation, indexing, export.
 
 A corpus is four files (accounts.jsonl, tweets.jsonl, edges.jsonl,
-labels.csv) loaded into an immutable in-memory ``Corpus``. Loading is
-tolerant: lines that decode but fail the record schema are dropped and
+labels.csv) loaded into an immutable in-memory ``Corpus``, whose tweets are
+one columnar ``TweetTable``. Loading is tolerant: lines that decode but fail the record schema are dropped and
 reported; lines that do not decode at all are fatal once they exceed 10%
 of a file. Duplicate identifiers are always fatal. Everything downstream
 treats the corpus as read-only.
@@ -13,16 +13,23 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import struct
 from array import array
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, methodcaller
 from pathlib import Path
 
-VALID_KINDS = frozenset({"original", "reply", "retweet", "quote"})
+import numpy as np
+
+# Tweet kinds in code order: TweetTable.kind holds ORIGINAL..QUOTE for them.
+KINDS = ("original", "reply", "retweet", "quote")
+ORIGINAL, REPLY, RETWEET, QUOTE = range(len(KINDS))
+VALID_KINDS = frozenset(KINDS)
 
 ACCOUNTS_FILE = "accounts.jsonl"
 TWEETS_FILE = "tweets.jsonl"
@@ -36,6 +43,10 @@ MALFORMED_FATAL_FRACTION = 0.10
 # One decoder for every line; see _load_jsonl_records.
 _decode = json.JSONDecoder().raw_decode
 _fromisoformat = datetime.fromisoformat
+
+# Tweet instants are stored as UTC microseconds since the epoch.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 # The encoder json.dumps(value, ensure_ascii=False, sort_keys=True) would build
 # anew on every call (its arguments are not the defaults), and the string
@@ -206,48 +217,264 @@ class ValidationReport:
                  v.identifier or "", v.rule, v.detail) for v in self.violations]
 
 
+def _instant_us(dt: datetime) -> int:
+    """UTC microseconds since the epoch; a naive datetime reads as UTC."""
+    if dt.tzinfo is not timezone.utc and dt.utcoffset() is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return (dt - _EPOCH) // _MICROSECOND
+
+
+# The code columns of a TweetTable and their dtypes; see TweetTable.
+_DTYPES = {"author": np.int32, "reply_to": np.int32, "referenced": np.int32, "kind": np.int8,
+           "created_us": np.int64, "text": np.int32, "hashtags": np.int32, "urls": np.int32,
+           "language": np.int32}
+# One packed row of the code columns, as the loader writes it.
+_ROW = struct.Struct("=" + "".join({np.int8: "b", np.int32: "i", np.int64: "q"}[dtype]
+                                   for dtype in _DTYPES.values()))
+# Tweet field -> (its code column, the TweetTable list the codes index).
+_CODED = {"author_id": ("author", "account_ids"), "text": ("text", "texts"),
+          "kind": ("kind", "kinds"), "in_reply_to_account": ("reply_to", "account_ids"),
+          "referenced_account": ("referenced", "account_ids"),
+          "hashtags": ("hashtags", "hashtag_lists"), "urls": ("urls", "url_lists"),
+          "language": ("language", "languages")}
+_TWEET_FIELDS = tuple(f.name for f in fields(Tweet))
+
+
+@dataclass(frozen=True, eq=False)
+class TweetTable:
+    """Every tweet of a corpus as columns, one row per tweet in insertion order.
+
+    ``ids`` holds the tweet ids; ``row_of``, built on first use, maps each to
+    its row. The columns are read-only numpy arrays:
+
+    - ``author``, ``reply_to``, ``referenced``: int32 codes into
+      ``account_ids`` (``account_code`` maps an id to its code), -1 for none;
+    - ``kind``: int8 codes into ``kinds``, which starts with ``KINDS``;
+    - ``created_us``: int64 UTC microseconds since the epoch;
+    - ``text``, ``hashtags``, ``urls``, ``language``: int32 codes into the
+      distinct-value lists ``texts``, ``hashtag_lists``, ``url_lists`` and
+      ``languages`` (where None stands for no language).
+
+    Two tables compare equal when they hold the same rows.
+    """
+
+    ids: list
+    account_ids: list
+    account_code: dict
+    author: np.ndarray
+    reply_to: np.ndarray
+    referenced: np.ndarray
+    kind: np.ndarray
+    kinds: list
+    created_us: np.ndarray
+    text: np.ndarray
+    texts: list
+    hashtags: np.ndarray
+    hashtag_lists: list
+    urls: np.ndarray
+    url_lists: list
+    language: np.ndarray
+    languages: list
+    # URL-list code -> its domains, filled as linkmap's stages first need them.
+    url_domains: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def row_of(self) -> dict:
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    def __eq__(self, other):
+        if not isinstance(other, TweetTable):
+            return NotImplemented
+        return TweetRows(self) == TweetRows(other)
+
+    def values(self, name: str, rows=None) -> list:
+        """The ``Tweet`` field ``name`` of the given rows (all rows if None),
+        with ``created_at`` as UTC microseconds."""
+        rows = np.arange(len(self.ids)) if rows is None else np.asarray(rows, dtype=np.intp)
+        if name == "tweet_id":
+            return [self.ids[row] for row in rows.tolist()]
+        if name == "created_at":
+            return self.created_us[rows].tolist()
+        column, values = _CODED[name]
+        values = getattr(self, values)
+        if values is self.account_ids:
+            values = [*values, None]  # the code -1
+        return [values[code] for code in getattr(self, column)[rows].tolist()]
+
+    def rows(self, rows=None) -> list[Tweet]:
+        """``Tweet`` records of the given rows (all rows if None), built anew
+        on each call."""
+        values = {name: self.values(name, rows) for name in _TWEET_FIELDS}
+        values["created_at"] = [_EPOCH + timedelta(microseconds=us) for us in values["created_at"]]
+        return list(map(Tweet, *values.values()))
+
+    def take(self, rows) -> TweetTable:
+        """The given rows, in that order, as a table of their own."""
+        return _table({name: self.values(name, rows) for name in _TWEET_FIELDS})
+
+    def account_mask(self, account_ids) -> np.ndarray:
+        """Boolean array over account codes, True at the codes of
+        ``account_ids`` (ids the table does not hold are ignored). It ends
+        with one extra False, so a code column indexes it with -1 as False."""
+        mask = np.zeros(len(self.account_ids) + 1, dtype=bool)
+        mask[[code for code in map(self.account_code.get, account_ids) if code is not None]] = True
+        return mask
+
+    def text_of(self, tweet_id) -> str:
+        return self.texts[self.text[self.row_of[tweet_id]]]
+
+    def author_of(self, tweet_id) -> str:
+        return self.account_ids[self.author[self.row_of[tweet_id]]]
+
+
+def _intern(values, codes: dict, table: list):
+    """Yield the index in ``table`` of each value, appending new ones.
+    ``codes`` maps a value that is None, a str or a tuple of str to its index,
+    so equal ones share one. Any other value gets an index of its own,
+    because equal values such as (1,) and (True,) are written differently."""
+    get = codes.get
+    for value in values:
+        try:
+            code = get(value)
+        except TypeError:  # unhashable
+            code = None
+        if code is None:
+            code = len(table)
+            table.append(value)
+            if (value is None or type(value) is str
+                    or (type(value) is tuple and all(type(v) is str for v in value))):
+                codes[value] = code
+        yield code
+
+
+def _new_table(ids, account_code, **columns) -> TweetTable:
+    """A TweetTable of the given ids, account codes, value lists and code
+    columns (any sequences; they become read-only numpy arrays here)."""
+    for name, dtype in _DTYPES.items():
+        columns[name] = np.ascontiguousarray(columns[name], dtype=dtype)
+        columns[name].setflags(write=False)
+    return TweetTable(ids=ids, account_ids=list(account_code), account_code=account_code,
+                      **columns)
+
+
+def _table(values: dict) -> TweetTable:
+    """A TweetTable of the rows given as, per ``Tweet`` field, an iterable of
+    one value per row (``created_at`` as UTC microseconds)."""
+    ids = list(values["tweet_id"])
+    account_code: dict = {}
+    tables = {name: ({}, []) for _, name in _CODED.values()}
+    tables["kinds"] = ({kind: code for code, kind in enumerate(KINDS)}, list(KINDS))
+    columns = {"created_us": np.fromiter(values["created_at"], dtype=np.int64, count=len(ids))}
+    for name, (column, table) in _CODED.items():
+        codes = (_intern(values[name], *tables[table]) if table != "account_ids" else
+                 (-1 if v is None else account_code.setdefault(v, len(account_code))
+                  for v in values[name]))
+        columns[column] = np.fromiter(codes, dtype=_DTYPES[column], count=len(ids))
+    del tables["account_ids"]
+    return _new_table(ids, account_code, **{name: table for name, (_, table) in tables.items()},
+                      **columns)
+
+
+class TweetRows(Mapping):
+    """Read-only ``tweet_id -> Tweet`` view of a TweetTable, in row order.
+
+    Every access builds new ``Tweet`` records: they compare equal to the ones
+    an earlier access built, but are not the same objects. ``values()`` and
+    ``items()`` build all rows at once and return lists.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: TweetTable):
+        self.table = table
+
+    def __getitem__(self, tweet_id) -> Tweet:
+        return self.table.rows([self.table.row_of[tweet_id]])[0]
+
+    def __contains__(self, tweet_id) -> bool:
+        return tweet_id in self.table.row_of
+
+    def __iter__(self):
+        return iter(self.table.ids)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def values(self) -> list[Tweet]:
+        return self.table.rows(range(len(self.table)))
+
+    def items(self) -> list[tuple[str, Tweet]]:
+        return list(zip(self.table.ids, self.values()))
+
+
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable, indexed snapshot of one corpus. Treat every field as read-only.
+    """Immutable snapshot of one corpus. Treat every field as read-only.
 
-    Records are slotted dataclasses (no ``__dict__``). Within one
-    ``load_corpus`` call, equal identifiers, texts, kinds, languages and
-    hashtag/URL tuples are one shared object. ``line_numbers`` maps
-    ``"accounts"`` and ``"tweets"`` to the file name and an array of the line
-    each record was read from, in the order of ``accounts``/``tweets``;
-    ``validate()`` locates records by it. A corpus not read from files has
-    none.
+    Accounts are slotted ``Account`` records keyed by id. The tweets live only
+    in ``table``, one columnar ``TweetTable``. ``tweets`` (a read-only
+    ``tweet_id -> Tweet`` Mapping), ``tweets_of`` and ``tweets_by_author`` are
+    views that build ``Tweet`` rows from it on each access; the analysis
+    stages read the columns. Within one ``load_corpus`` call, equal
+    identifiers, texts, kinds, languages and hashtag/URL tuples are one
+    object. ``line_numbers`` maps ``"accounts"`` and ``"tweets"`` to the file
+    name and an array of the line each record was read from, in the order of
+    ``accounts`` and of the table's rows; ``validate()`` locates records by
+    it. A corpus not read from files has none.
 
-    The per-author index is built on first use and then kept: each author's
-    ``Tweet`` records in (created_at, tweet_id) order, authors sorted by id.
-    ``tweets_of`` returns its tuples; ``tweets_by_author`` is derived from it.
+    The per-author index is built on first use and then kept: the table's
+    rows in (author, created_at, tweet_id) order. ``rows_of`` returns one
+    author's run of it, ``tweets_of`` that run's ``Tweet`` rows, and
+    ``tweets_by_author`` the runs' tweet ids, authors sorted by id.
     """
 
     accounts: dict[str, Account]
-    tweets: dict[str, Tweet]
+    table: TweetTable
     follow_edges: frozenset[FollowEdge]
     partition: GroupPartition
     load_report: ValidationReport = field(compare=False, default_factory=ValidationReport)
     line_numbers: dict[str, tuple[str, array]] = field(compare=False, default_factory=dict)
 
-    @cached_property
-    def _author_index(self) -> dict[str, tuple[Tweet, ...]]:
-        index: dict[str, list[Tweet]] = {}
-        for tweet in self.tweets.values():
-            index.setdefault(tweet.author_id, []).append(tweet)
-        order = attrgetter("created_at", "tweet_id")
-        for tweets in index.values():
-            tweets.sort(key=order)
-        return {author: tuple(tweets) for author, tweets in sorted(index.items())}
+    @property
+    def tweets(self) -> TweetRows:
+        return TweetRows(self.table)
 
-    def tweets_of(self, account_id: str) -> tuple[Tweet, ...]:
-        return self._author_index.get(account_id, ())
+    @cached_property
+    def _author_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, bounds): the rows sorted by (author code, created_at, tweet
+        id), and the rows of author code c as order[bounds[c]:bounds[c + 1]]."""
+        table = self.table
+        order = np.lexsort((table.created_us, table.author))
+        author, created = table.author[order], table.created_us[order]
+        # Runs of rows that tie on (author, created_at) go in tweet-id order.
+        tied = np.flatnonzero((author[1:] == author[:-1]) & (created[1:] == created[:-1]))
+        for run in np.split(tied, np.flatnonzero(np.diff(tied) != 1) + 1) if tied.size else ():
+            start, stop = run[0], run[-1] + 2
+            order[start:stop] = sorted(order[start:stop].tolist(), key=table.ids.__getitem__)
+        return order, np.searchsorted(author, np.arange(len(table.account_ids) + 1))
+
+    def rows_of(self, account_id) -> np.ndarray:
+        """The account's tweet rows in (created_at, tweet_id) order."""
+        order, bounds = self._author_index
+        code = self.table.account_code.get(account_id)
+        return order[:0] if code is None else order[bounds[code]:bounds[code + 1]]
+
+    def tweets_of(self, account_id) -> tuple[Tweet, ...]:
+        return tuple(self.table.rows(self.rows_of(account_id)))
 
     @property
     def tweets_by_author(self) -> dict[str, tuple[str, ...]]:
-        """Tweet ids per author, in the index's order."""
-        return {author: tuple([tweet.tweet_id for tweet in tweets])
-                for author, tweets in self._author_index.items()}
+        """Tweet ids per author, in the index's order, authors sorted by id."""
+        order, bounds = self._author_index
+        ids = self.table.ids
+        runs = {account_id: tuple([ids[row] for row in order[start:stop].tolist()])
+                for account_id, start, stop in zip(self.table.account_ids, bounds.tolist(),
+                                                   bounds[1:].tolist())
+                if start < stop}
+        return dict(sorted(runs.items()))
 
     @property
     def n_accounts(self) -> int:
@@ -255,25 +482,35 @@ class Corpus:
 
     @property
     def n_tweets(self) -> int:
-        return len(self.tweets)
+        return len(self.table)
 
 
 def make_corpus(accounts, tweets, edges=(), partition=None, load_report=None,
                 line_numbers=None) -> Corpus:
-    """Index records into a Corpus; duplicate account/tweet ids are fatal."""
+    """Index records into a Corpus; duplicate account/tweet ids are fatal.
+
+    ``tweets`` is a TweetTable or an iterable of ``Tweet`` records, which are
+    transposed into one.
+    """
     account_index: dict[str, Account] = {}
     for acct in accounts:
         if acct.account_id in account_index:
             raise CorpusError(f"duplicate account_id: {acct.account_id}")
         account_index[acct.account_id] = acct
-    tweet_index: dict[str, Tweet] = {}
-    for tweet in tweets:
-        if tweet.tweet_id in tweet_index:
-            raise CorpusError(f"duplicate tweet_id: {tweet.tweet_id}")
-        tweet_index[tweet.tweet_id] = tweet
+    table = tweets
+    if not isinstance(tweets, TweetTable):
+        tweets = list(tweets)
+        values = {name: map(attrgetter(name), tweets) for name in _TWEET_FIELDS}
+        values["created_at"] = map(_instant_us, values["created_at"])
+        table = _table(values)
+    seen = set()
+    for tweet_id in table.ids:
+        if tweet_id in seen:
+            raise CorpusError(f"duplicate tweet_id: {tweet_id}")
+        seen.add(tweet_id)
     return Corpus(
         accounts=account_index,
-        tweets=tweet_index,
+        table=table,
         follow_edges=frozenset(edges),
         partition=partition or GroupPartition(),
         load_report=load_report or ValidationReport(),
@@ -350,67 +587,128 @@ def _parse_account(obj, share) -> Account:
                    tweet_count, description)
 
 
-def _parse_tweet(obj, share) -> Tweet:
-    get = obj.get
-    kind = get("kind")
-    if kind is None:
-        raise _RecordError("missing-field:kind")
-    if type(kind) is not str or kind not in VALID_KINDS:
-        raise _RecordError("bad-kind", f"kind={kind!r}")
-    text = get("text")
-    if text is None:
-        raise _RecordError("missing-field:text")
-    raw_tags = get("hashtags")
-    raw_urls = get("urls")
-    if (raw_tags and type(raw_tags) is not list) or (raw_urls and type(raw_urls) is not list):
-        raise _RecordError("bad-field:entities", "hashtags/urls must be lists")
-    tweet_id = get("tweet_id")
-    tweet_id = tweet_id.strip() if type(tweet_id) is str else _identifier(tweet_id, "tweet_id")
-    if not tweet_id:
-        raise _RecordError("missing-field:tweet_id")
-    author_id = get("author_id")
-    author_id = (author_id.strip() if type(author_id) is str
-                 else _identifier(author_id, "author_id"))
-    if not author_id:
-        raise _RecordError("missing-field:author_id")
-    created_at = _as_instant(get("created_at"), "created_at")
-    reply_to = get("in_reply_to_account")
-    reply_to = (reply_to.strip() if type(reply_to) is str
-                else _identifier(reply_to, "in_reply_to_account"))
-    referenced = get("referenced_account")
-    referenced = (referenced.strip() if type(referenced) is str
-                  else _identifier(referenced, "referenced_account"))
-    if type(text) is not str:
-        raise _not_a_string(text, "text")
-    hashtags = []
-    for tag in raw_tags or ():
-        if type(tag) is not str:
-            raise _not_a_string(tag, "entities")
-        tag = normalize_hashtag(tag)
-        if tag:
-            hashtags.append(tag)
-    for url in raw_urls or ():
-        if type(url) is not str:
-            raise _not_a_string(url, "entities")
-    language = get("language")
-    if language is not None and type(language) is not str:
-        raise _not_a_string(language, "language")
-    # Absent, null and "" read as an empty list. Any other falsy non-list
-    # (0, 0.0, false, {}) is checked last, so that every line an older check
-    # drops keeps that check's rule.
-    if ((type(raw_tags) is not list and raw_tags not in (None, ""))
-            or (type(raw_urls) is not list and raw_urls not in (None, ""))):
-        raise _RecordError("bad-field:entities", "hashtags/urls must be lists")
-    hashtags = tuple(hashtags)
-    urls = tuple(raw_urls or ())
-    return Tweet(
-        tweet_id, share(author_id, author_id), created_at, share(text, text),
-        share(kind, kind),
-        share(reply_to, reply_to) if reply_to else None,
-        share(referenced, referenced) if referenced else None,
-        share(hashtags, hashtags), share(urls, urls),
-        share(language, language) if language else None,
-    )
+def _tweet_loader(account_ids):
+    """(parse, finish) for one tweets.jsonl.
+
+    ``parse(obj, share)`` reads one tweet object with the checks of the other
+    parsers, appends its codes to the columns and returns its tweet id; a
+    line it rejects appends nothing. ``finish(ids)`` makes the TweetTable of
+    the parsed rows. ``account_ids`` are coded first, so the id table shares
+    their strings. Each distinct raw hashtag list is normalized once.
+    """
+    account_code: dict = {}
+    for account_id in account_ids:
+        account_code.setdefault(account_id, len(account_code))
+    kinds = {kind: code for code, kind in enumerate(KINDS)}
+    texts: dict = {}
+    hashtag_lists = {(): 0}
+    raw_hashtags: dict = {}
+    url_lists = {(): 0}
+    languages = {None: 0}
+    # One packed _ROW per tweet: a single call per row instead of one append
+    # per column.
+    packed = bytearray()
+    add_row = packed.extend
+    pack_row = _ROW.pack
+    account = account_code.setdefault
+
+    def hashtags_code(raw_tags):
+        hashtags = []
+        for tag in raw_tags:
+            if type(tag) is not str:
+                raise _not_a_string(tag, "entities")
+            tag = normalize_hashtag(tag)
+            if tag:
+                hashtags.append(tag)
+        found = raw_hashtags[tuple(raw_tags)] = hashtag_lists.setdefault(
+            tuple(hashtags), len(hashtag_lists))
+        return found
+
+    def urls_code(raw_urls):
+        for url in raw_urls:
+            if type(url) is not str:
+                raise _not_a_string(url, "entities")
+        return url_lists.setdefault(tuple(raw_urls), len(url_lists))
+
+    def parse(obj, share):
+        get = obj.get
+        kind = get("kind")
+        if kind is None:
+            raise _RecordError("missing-field:kind")
+        if type(kind) is not str or kind not in VALID_KINDS:
+            raise _RecordError("bad-kind", f"kind={kind!r}")
+        text = get("text")
+        if text is None:
+            raise _RecordError("missing-field:text")
+        raw_tags = get("hashtags")
+        raw_urls = get("urls")
+        if (raw_tags and type(raw_tags) is not list) or (raw_urls and type(raw_urls) is not list):
+            raise _RecordError("bad-field:entities", "hashtags/urls must be lists")
+        tweet_id = get("tweet_id")
+        tweet_id = tweet_id.strip() if type(tweet_id) is str else _identifier(tweet_id, "tweet_id")
+        if not tweet_id:
+            raise _RecordError("missing-field:tweet_id")
+        author_id = get("author_id")
+        author_id = (author_id.strip() if type(author_id) is str
+                     else _identifier(author_id, "author_id"))
+        if not author_id:
+            raise _RecordError("missing-field:author_id")
+        created_us = (_as_instant(get("created_at"), "created_at") - _EPOCH) // _MICROSECOND
+        reply_to = get("in_reply_to_account")
+        reply_to = (reply_to.strip() if type(reply_to) is str
+                    else _identifier(reply_to, "in_reply_to_account"))
+        referenced = get("referenced_account")
+        referenced = (referenced.strip() if type(referenced) is str
+                      else _identifier(referenced, "referenced_account"))
+        if type(text) is not str:
+            raise _not_a_string(text, "text")
+        # A raw list already seen is read from its memo; any other goes
+        # through the checks (an unhashable one always fails them).
+        hashtags = 0
+        if raw_tags:
+            try:
+                hashtags = raw_hashtags[tuple(raw_tags)]
+            except (KeyError, TypeError):
+                hashtags = hashtags_code(raw_tags)
+        urls = 0
+        if raw_urls:
+            try:
+                urls = url_lists[tuple(raw_urls)]
+            except (KeyError, TypeError):
+                urls = urls_code(raw_urls)
+        language = get("language")
+        if language is not None and type(language) is not str:
+            raise _not_a_string(language, "language")
+        # Absent, null and "" read as an empty list. Any other falsy non-list
+        # (0, 0.0, false, {}) is checked last, so that every line an older check
+        # drops keeps that check's rule.
+        if ((type(raw_tags) is not list and raw_tags not in (None, ""))
+                or (type(raw_urls) is not list and raw_urls not in (None, ""))):
+            raise _RecordError("bad-field:entities", "hashtags/urls must be lists")
+        add_row(pack_row(
+            account(author_id, len(account_code)),
+            account(reply_to, len(account_code)) if reply_to else -1,
+            account(referenced, len(account_code)) if referenced else -1,
+            kinds[kind], created_us, texts.setdefault(text, len(texts)), hashtags, urls,
+            languages.setdefault(language, len(languages)) if language else 0))
+        return tweet_id
+
+    def finish(ids) -> TweetTable:
+        rows = np.frombuffer(packed, dtype=np.dtype(list(_DTYPES.items())))
+        columns = {name: rows[name].copy() for name in _DTYPES}
+        del rows
+        packed.clear()
+        return _new_table(ids, account_code, kinds=list(kinds), texts=list(texts),
+                          hashtag_lists=list(hashtag_lists), url_lists=list(url_lists),
+                          languages=list(languages), **columns)
+
+    return parse, finish
+
+
+def _parse_tweet(obj, share=None) -> Tweet:
+    """One tweet object read as the loader reads it, as a ``Tweet`` record."""
+    parse, finish = _tweet_loader(())
+    return finish([parse(obj, share)]).rows([0])[0]
 
 
 def _parse_edge(obj, share) -> FollowEdge:
@@ -446,7 +744,8 @@ def _iter_lines(path: Path):
 
 def _load_jsonl_records(path: Path, parse, aliases, violations, share):
     """Parse one JSONL file into its records and an array of their line
-    numbers; ``parse(obj, share)`` builds one record. >10% undecodable is fatal.
+    numbers; ``parse(obj, share)`` returns one record (for tweets, the id of
+    the row it added to the columns). >10% undecodable is fatal.
 
     A line decodes as one ``raw_decode`` that must end at the end of the
     stripped line. That accepts exactly what ``json.loads`` accepts: the strip
@@ -570,7 +869,8 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
             for m in aliases.values()):
         raise CorpusError("field aliases must be an object of {canonical: input name} objects")
     # Loading creates no reference cycles (records hold strings, tuples and
-    # datetimes), so a cyclic collection during it only re-walks the growing heap.
+    # datetimes; the columns hold codes), so a cyclic collection during it
+    # only re-walks the growing heap.
     with _gc_paused():
         violations: list[Violation] = []
         # One object per distinct value for this load only. Keys are only
@@ -582,8 +882,9 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
         tweet_path = Path(tweet_path)
         accounts, account_lines = _load_jsonl_records(
             account_path, _parse_account, aliases.get("accounts", {}), violations, share)
-        tweets, tweet_lines = _load_jsonl_records(
-            tweet_path, _parse_tweet, aliases.get("tweets", {}), violations, share)
+        parse_tweet, tweet_table = _tweet_loader([a.account_id for a in accounts])
+        tweet_ids, tweet_lines = _load_jsonl_records(
+            tweet_path, parse_tweet, aliases.get("tweets", {}), violations, share)
 
         edges: list[FollowEdge] = []
         if edge_path is not None:
@@ -615,7 +916,7 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
 
         violations.sort(key=Violation.sort_key)
         return make_corpus(
-            accounts, tweets, edges, partition,
+            accounts, tweet_table(tweet_ids), edges, partition,
             load_report=ValidationReport(tuple(violations)),
             line_numbers={"accounts": (account_path.name, account_lines),
                           "tweets": (tweet_path.name, tweet_lines)},
@@ -626,31 +927,39 @@ def validate(corpus: Corpus) -> ValidationReport:
     """Check every type invariant on an in-memory corpus (pure)."""
     violations: list[Violation] = []
 
-    def located(kind: str):
-        """(record, file, line) for each record of ``corpus.<kind>``."""
-        records = getattr(corpus, kind)
-        file, lines = corpus.line_numbers.get(kind, (None, repeat(None, len(records))))
-        return zip(records.values(), repeat(file, len(records)), lines, strict=True)
-
-    for acct, file, line in located("accounts"):
+    file, lines = corpus.line_numbers.get("accounts", (None, None))
+    for index, acct in enumerate(corpus.accounts.values()):
         if min(acct.follower_count, acct.following_count, acct.tweet_count) < 0:
-            violations.append(Violation("negative-count", file, line, acct.account_id))
+            violations.append(Violation("negative-count", file,
+                                        None if lines is None else lines[index], acct.account_id))
 
-    for tweet, file, line in located("tweets"):
-        loc = {"file": file, "line": line, "identifier": tweet.tweet_id}
-        if tweet.kind == "reply" and tweet.in_reply_to_account is None:
-            violations.append(Violation("reply-missing-target", **loc))
-        if tweet.kind in ("retweet", "quote") and tweet.referenced_account is None:
-            violations.append(Violation("reference-missing-target", **loc))
-        if tweet.kind != "reply" and tweet.in_reply_to_account is not None:
-            violations.append(Violation("unexpected-reply-target", **loc))
-        if tweet.kind in ("original", "reply") and tweet.referenced_account is not None:
-            violations.append(Violation("unexpected-reference-target", **loc))
-        if tweet.author_id not in corpus.accounts:
-            violations.append(Violation("dangling-author", detail=tweet.author_id, **loc))
-        for tag in tweet.hashtags:
-            if tag != normalize_hashtag(tag) or not tag:
-                violations.append(Violation("hashtag-not-normalized", detail=tag, **loc))
+    # Each tweet check is one mask over the rows; only flagged rows are walked,
+    # and each emits its violations in the order of the checks.
+    table = corpus.table
+    kind = table.kind
+    is_reply = kind == REPLY
+    has_reply_to = table.reply_to >= 0
+    has_referenced = table.referenced >= 0
+    known = np.array([a in corpus.accounts for a in table.account_ids], dtype=bool)
+    bad_tags = [[tag for tag in tags if tag != normalize_hashtag(tag) or not tag]
+                for tags in table.hashtag_lists]
+    checks = {
+        "reply-missing-target": is_reply & ~has_reply_to,
+        "reference-missing-target": ((kind == RETWEET) | (kind == QUOTE)) & ~has_referenced,
+        "unexpected-reply-target": ~is_reply & has_reply_to,
+        "unexpected-reference-target": ((kind == ORIGINAL) | is_reply) & has_referenced,
+        "dangling-author": ~known[table.author],
+        "hashtag-not-normalized": np.array(list(map(bool, bad_tags)), dtype=bool)[table.hashtags],
+    }
+    file, lines = corpus.line_numbers.get("tweets", (None, None))
+    for row in np.flatnonzero(np.logical_or.reduce(list(checks.values()))).tolist():
+        loc = {"file": file, "line": None if lines is None else lines[row],
+               "identifier": table.ids[row]}
+        details = {"dangling-author": [table.account_ids[table.author[row]]],
+                   "hashtag-not-normalized": bad_tags[table.hashtags[row]]}
+        violations += [Violation(rule, detail=detail, **loc)
+                       for rule, mask in checks.items() if mask[row]
+                       for detail in details.get(rule, [""])]
 
     for edge in sorted(corpus.follow_edges, key=lambda e: (e.source, e.target)):
         if edge.source == edge.target:
@@ -672,43 +981,67 @@ def validate(corpus: Corpus) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def _encode_value(value) -> str:
+    """``value`` as json.dumps(value, ensure_ascii=False, sort_keys=True)
+    writes it. A str, None or tuple of str is encoded here; any other value
+    goes through the encoder json.dumps would use."""
+    if type(value) is str:
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if type(value) is tuple:
+        try:
+            # _encode_str raises TypeError on anything but a str.
+            return "[" + ", ".join(map(_encode_str, value)) + "]"
+        except TypeError:
+            pass
+    return _encode_json(value)
+
+
+def _heads(keys) -> list[str]:
+    """The encoded ``{"key": `` and ``, "key": `` heads of a line with these keys."""
+    return ["{" + _encode_str(keys[0]) + ": "] + [", " + _encode_str(k) + ": " for k in keys[1:]]
+
+
 def _write_jsonl(path: Path, records, kind) -> None:
     """Write one line per record of dataclass ``kind``, in the form
-    ``export_corpus`` documents.
-
-    Field names, their encoded ``"key": `` heads and the getter are resolved
-    once per file. A str, None or tuple of str value is encoded here; any
-    other value goes through the encoder json.dumps would use.
-    """
+    ``export_corpus`` documents."""
     keys = sorted(f.name for f in fields(kind))
-    heads = ["{" + _encode_str(keys[0]) + ": "] + [", " + _encode_str(k) + ": " for k in keys[1:]]
+    heads = _heads(keys)
     at = keys.index("created_at")
     get = attrgetter(*keys)
-    encode_str = _encode_str
-    encode_json = _encode_json
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
         for record in records:
             values = list(get(record))
             values[at] = format_instant(values[at])
-            parts = []
-            add = parts.append
-            for head, value in zip(heads, values):
-                add(head)
-                if type(value) is str:
-                    add(encode_str(value))
-                elif value is None:
-                    add("null")
-                elif type(value) is tuple:
-                    try:
-                        # encode_str raises TypeError on anything but a str.
-                        add("[" + ", ".join(map(encode_str, value)) + "]")
-                    except TypeError:
-                        add(encode_json(value))
-                else:
-                    add(encode_json(value))
-            add("}\n")
-            write("".join(parts))
+            write("".join([head + _encode_value(value) for head, value in zip(heads, values)])
+                  + "}\n")
+
+
+def _write_tweets(path: Path, table: TweetTable, chunk: int = 8192) -> None:
+    """Write the table's rows in tweet-id order, in the form ``export_corpus``
+    documents. Each distinct value is encoded once; the rows are formatted
+    ``chunk`` at a time, ``created_at`` for a whole chunk at once."""
+    order = np.array(sorted(range(len(table)), key=table.ids.__getitem__), dtype=np.intp)
+    # Each list ends with "null", the value of the account code -1.
+    encoded = {name: [*map(_encode_value, getattr(table, name)), "null"]
+               for _, name in _CODED.values()}
+    keys = sorted(_TWEET_FIELDS)
+    line = "".join(head + "%s" for head in _heads(keys)) + "}\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        for start in range(0, len(order), chunk):
+            rows = order[start:start + chunk]
+            stamps = np.datetime_as_string(table.created_us[rows].astype("datetime64[us]"),
+                                           unit="us").tolist()
+            # format_instant's form: the microseconds only when nonzero.
+            values = {"created_at": ['"' + stamp.removesuffix(".000000") + 'Z"'
+                                     for stamp in stamps],
+                      "tweet_id": map(_encode_value, table.values("tweet_id", rows))}
+            for name, (column, values_name) in _CODED.items():
+                values[name] = map(encoded[values_name].__getitem__,
+                                   getattr(table, column)[rows].tolist())
+            fh.writelines(map(line.__mod__, zip(*(values[key] for key in keys))))
 
 
 def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
@@ -731,9 +1064,9 @@ def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
     }
     # Writing creates no reference cycles; a collection would only walk the heap.
     with _gc_paused():
-        for name, records, kind in (("accounts", corpus.accounts, Account),
-                                    ("tweets", corpus.tweets, Tweet)):
-            _write_jsonl(paths[name], map(records.__getitem__, sorted(records)), kind)
+        accounts = corpus.accounts
+        _write_jsonl(paths["accounts"], map(accounts.__getitem__, sorted(accounts)), Account)
+        _write_tweets(paths["tweets"], corpus.table)
         with open(paths["edges"], "w", encoding="utf-8") as fh:
             for edge in sorted(corpus.follow_edges, key=lambda e: (e.source, e.target)):
                 fh.write(json.dumps({"source": edge.source, "target": edge.target},
@@ -750,22 +1083,24 @@ def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
 def merge_corpora(*parts: Corpus) -> Corpus:
     """Union disjoint corpus fragments; colliding identifiers are fatal.
 
-    The parts' load reports are joined into one. The merged corpus keeps no
-    line numbers, so ``validate()`` locates its records by identifier only.
+    The tweet tables are joined in order. The parts' load reports are joined
+    into one. The merged corpus keeps no line numbers, so ``validate()``
+    locates its records by identifier only.
     """
     accounts: list[Account] = []
-    tweets: list[Tweet] = []
     edges: set[FollowEdge] = set()
     groups: dict[str, set[str]] = {}
     for part in parts:
         accounts.extend(part.accounts.values())
-        tweets.extend(part.tweets.values())
         edges.update(part.follow_edges)
         for name, members in part.partition.groups.items():
             groups.setdefault(name, set()).update(members)
     partition = GroupPartition({n: frozenset(m) for n, m in groups.items()})
     violations = sorted((v for part in parts for v in part.load_report), key=Violation.sort_key)
-    return make_corpus(accounts, tweets, edges, partition,
+    tables = [part.table for part in parts]
+    table = _table({name: chain.from_iterable(map(methodcaller("values", name), tables))
+                    for name in _TWEET_FIELDS})
+    return make_corpus(accounts, table, edges, partition,
                        load_report=ValidationReport(tuple(violations)))
 
 
@@ -774,19 +1109,20 @@ def cap_tweets(corpus: Corpus, max_per_account: int) -> Corpus:
     tweet-id order; the load report and line numbers carry over."""
     if max_per_account < 1:
         raise ValueError("max_per_account must be >= 1")
-    keep: set[str] = set()
-    for tweets in corpus._author_index.values():
-        # The index is ordered by (created_at, tweet_id).
-        keep.update([tweet.tweet_id for tweet in tweets[-max_per_account:]])
-    kept = sorted(keep)
+    order, bounds = corpus._author_index
+    table = corpus.table
+    # The index is ordered by (created_at, tweet_id) within each author's run;
+    # keep the rows at most max_per_account from their run's end.
+    run_end = bounds[table.author[order] + 1]
+    keep = order[run_end - np.arange(len(order)) <= max_per_account]
+    kept = sorted(keep.tolist(), key=table.ids.__getitem__)
     line_numbers = dict(corpus.line_numbers)
     if "tweets" in line_numbers:
         file, lines = line_numbers["tweets"]
-        line_of = {tid: n for tid, n in zip(corpus.tweets, lines) if tid in keep}
-        line_numbers["tweets"] = (file, array(lines.typecode, (line_of[tid] for tid in kept)))
+        line_numbers["tweets"] = (file, array(lines.typecode, [lines[row] for row in kept]))
     return make_corpus(
         list(corpus.accounts.values()),
-        [corpus.tweets[tid] for tid in kept],
+        table.take(kept),
         corpus.follow_edges,
         corpus.partition,
         load_report=corpus.load_report,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, Tweet, _iter_lines
+from .corpus import RETWEET, Corpus, Tweet, _iter_lines
 
 # ---------------------------------------------------------------------------
 # Qualification and preprocessing
@@ -275,23 +275,36 @@ def score_corpus(corpus: Corpus, detector: TextDetector,
 
     Each account's score equals ``score_account(id, qualify_tweets(corpus, id,
     rules), detector)``, but each distinct raw (text, kind) pair is processed
-    and scored once per call, so the detector must be deterministic.
+    and scored once per call, so the detector must be deterministic. Each
+    account's tweets are read from the corpus index, so its scores add up in
+    (created_at, tweet_id) order.
     """
     account_ids = sorted(set(group) if group is not None else corpus.accounts)
-    # (raw text, kind) -> () when processing leaves nothing, else (score,).
-    memo: dict[tuple[str, str], tuple[float, ...]] = {}
+    table = corpus.table
+    kept = np.ones(len(table), dtype=bool)
+    if rules.exclude_retweets:
+        kept &= table.kind != RETWEET
+    if rules.english_only:
+        kept &= np.array([_is_english(language) for language in table.languages],
+                         dtype=bool)[table.language]
+    # One code per distinct (text, kind) pair; the memo maps it to () when
+    # processing leaves nothing, else to (score,).
+    n_kinds = len(table.kinds)
+    pairs = table.text.astype(np.int64) * n_kinds + table.kind
+    memo: dict[int, tuple[float, ...]] = {}
     scores: dict[str, AccountScore] = {}
     unscored = 0
     for account_id in account_ids:
         if account_id not in corpus.accounts:
             continue
+        rows = corpus.rows_of(account_id)
         account_scores = []
-        for tweet in _kept_tweets(corpus, account_id, rules):
-            key = (tweet.text, tweet.kind)
-            cached = memo.get(key)
+        for pair in pairs[rows[kept[rows]]].tolist():
+            cached = memo.get(pair)
             if cached is None:
-                processed = process_text(tweet.text, tweet.kind, rules)
-                cached = memo[key] = (
+                text, kind = table.texts[pair // n_kinds], table.kinds[pair % n_kinds]
+                processed = process_text(text, kind, rules)
+                cached = memo[pair] = (
                     (_checked(detector.score(processed), detector),) if processed else ())
             account_scores.extend(cached)
         result = _account_score(account_id, account_scores)

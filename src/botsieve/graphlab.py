@@ -11,11 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
-from .corpus import Corpus, GroupPartition
+from .corpus import REPLY, RETWEET, Corpus, GroupPartition
 
 EDGE_KINDS = ("follow", "reply", "retweet")
 
@@ -53,18 +52,26 @@ def build_graph(corpus: Corpus, edge_kind: str,
     restriction = frozenset(node_restriction) if node_restriction is not None else None
 
     if edge_kind == "follow":
-        pairs = [(e.source, e.target) for e in corpus.follow_edges]
+        edges = {(e.source, e.target): 1 for e in corpus.follow_edges
+                 if e.target is not None and e.source != e.target
+                 and (restriction is None or (e.source in restriction and e.target in restriction))}
     else:
-        # Only account authors count, so only their tweets are walked.
-        authors = (corpus.accounts if restriction is None
-                   else [a for a in corpus.accounts if a in restriction])
-        target_of = attrgetter(
-            "in_reply_to_account" if edge_kind == "reply" else "referenced_account")
-        pairs = [(author, target_of(tweet)) for author in authors
-                 for tweet in corpus.tweets_of(author) if tweet.kind == edge_kind]
-    edges = {(source, target): weight for (source, target), weight in Counter(pairs).items()
-             if target is not None and source != target
-             and (restriction is None or (source in restriction and target in restriction))}
+        # Each edge is one (author, target) code pair counted by np.unique:
+        # account authors only, and with a restriction both ends inside it.
+        table = corpus.table
+        kind, target = ((REPLY, table.reply_to) if edge_kind == "reply"
+                        else (RETWEET, table.referenced))
+        authors = table.account_mask(
+            corpus.accounts if restriction is None
+            else [a for a in restriction if a in corpus.accounts])
+        targets = target >= 0 if restriction is None else table.account_mask(restriction)[target]
+        keep = (table.kind == kind) & authors[table.author] & targets & (table.author != target)
+        n = len(table.account_ids)
+        pairs, weights = np.unique(table.author[keep].astype(np.int64) * n + target[keep],
+                                   return_counts=True)
+        ids = table.account_ids
+        edges = {(ids[pair // n], ids[pair % n]): weight
+                 for pair, weight in zip(pairs.tolist(), weights.tolist())}
 
     if restriction is not None:
         nodes = restriction

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
+import numpy as np
+
 from .corpus import Corpus, Tweet, _text_lines
 
 DEFAULT_SEED_DOMAINS = ("fox8.news", "cryptnomics.org", "globaleconomics.news")
@@ -49,11 +51,10 @@ class DomainExtraction(NamedTuple):
     skipped: int
 
 
-def extract_domains(tweet: Tweet) -> DomainExtraction:
-    """Normalized domain per URL of the tweet; unparseable URLs are counted, not raised."""
+def _domains_of(urls) -> DomainExtraction:
     domains = []
     skipped = 0
-    for url in tweet.urls:
+    for url in urls:
         domain = normalize_domain(url)
         if domain is None:
             skipped += 1
@@ -62,18 +63,40 @@ def extract_domains(tweet: Tweet) -> DomainExtraction:
     return DomainExtraction(tuple(domains), skipped)
 
 
+def extract_domains(tweet: Tweet) -> DomainExtraction:
+    """Normalized domain per URL of the tweet; unparseable URLs are counted, not raised."""
+    return _domains_of(tweet.urls)
+
+
+def _domains_in(table, rows) -> dict[int, tuple[str, ...]]:
+    """Domains of every URL list the given rows (a mask or slice) link, by
+    code. Each list is parsed once per table, when a stage first needs it."""
+    domains = table.url_domains
+    for code in np.flatnonzero(np.bincount(table.urls[rows],
+                                           minlength=len(table.url_lists))).tolist():
+        if code not in domains:
+            domains[code] = _domains_of(table.url_lists[code]).domains
+    return domains
+
+
+def _rows_where(table, domains: dict, test) -> np.ndarray:
+    """Per row: whether ``test`` holds for its URL list's domains (False for
+    a list ``domains`` does not hold)."""
+    mask = np.zeros(len(table.url_lists), dtype=bool)
+    mask[[code for code, found in domains.items() if test(found)]] = True
+    return mask[table.urls]
+
+
 def expand_by_domains(corpus: Corpus, seeds) -> frozenset[str]:
     """Accounts with at least one tweet (of any kind) linking into ``seeds``."""
     seed_set = {normalize_domain_name(s) for s in seeds}
     if not seed_set:
         raise ValueError("seed domain set must be non-empty")
-    matched = set()
-    for tweet in corpus.tweets.values():
-        # A tweet without URLs has no domains; most tweets have none.
-        if (tweet.urls and tweet.author_id not in matched
-                and seed_set.intersection(extract_domains(tweet).domains)):
-            matched.add(tweet.author_id)
-    return frozenset(matched)
+    table = corpus.table
+    domains = _domains_in(table, slice(None))
+    linking = _rows_where(table, domains, lambda found: not seed_set.isdisjoint(found))
+    authors = np.unique(table.author[linking])
+    return frozenset(table.account_ids[code] for code in authors.tolist())
 
 
 def domain_frequency(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
@@ -81,11 +104,14 @@ def domain_frequency(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
     multiplicity, ties lexicographic."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    table = corpus.table
+    members = table.account_mask(set(group))[table.author]
+    domains = _domains_in(table, members)
     counts: Counter[str] = Counter()
-    for account_id in set(group):
-        for tweet in corpus.tweets_of(account_id):
-            if tweet.urls:
-                counts.update(extract_domains(tweet).domains)
+    for code, n in enumerate(np.bincount(table.urls[members],
+                                         minlength=len(table.url_lists)).tolist()):
+        for domain in domains[code] if n else ():
+            counts[domain] += n
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 
@@ -114,23 +140,21 @@ def domain_share_profiles(corpus: Corpus, group, targets) -> DomainShareReport:
     target_set = {normalize_domain_name(t) for t in targets}
     if not target_set:
         raise ValueError("target domain set must be non-empty")
+    table = corpus.table
+    members = table.account_mask(set(group))[table.author]
+    domains = _domains_in(table, members)
+    n = len(table.account_ids)
+    tweets, link_tweets, target_tweets = (
+        np.bincount(table.author[rows], minlength=n).tolist() for rows in (
+            members, members & _rows_where(table, domains, bool),
+            members & _rows_where(table, domains, lambda found: not target_set.isdisjoint(found))))
     profiles = []
     for account_id in sorted(set(group)):
-        tweets = corpus.tweets_of(account_id)
-        link_tweets = 0
-        target_tweets = 0
-        for tweet in tweets:
-            if not tweet.urls:
-                continue
-            domains, _ = extract_domains(tweet)
-            if domains:
-                link_tweets += 1
-            if target_set.intersection(domains):
-                target_tweets += 1
-        share = target_tweets / len(tweets) if tweets else 0.0
-        profiles.append(
-            DomainShareProfile(account_id, link_tweets, target_tweets, share)
-        )
+        code = table.account_code.get(account_id)
+        total, links, hits = (0, 0, 0) if code is None else (
+            tweets[code], link_tweets[code], target_tweets[code])
+        share = hits / total if total else 0.0
+        profiles.append(DomainShareProfile(account_id, links, hits, share))
     mean = (sum(p.share_probability for p in profiles) / len(profiles)) if profiles else 0.0
     return DomainShareReport(tuple(profiles), mean)
 

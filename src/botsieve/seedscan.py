@@ -12,6 +12,8 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .corpus import Corpus, _csv_records, _text_lines
 
 # Zero-width / invisible code points stripped before matching.
@@ -51,24 +53,20 @@ def find_phrase_tweets(corpus: Corpus, query: PhraseQuery | None = None) -> dict
 
     Retweets are searched like any other tweet. Keys come out sorted by
     tweet_id so merged results are deterministic. Each distinct text is
-    normalized and matched once per call.
+    normalized and matched once per call, then the rows holding a matching
+    text are selected.
     """
     query = query or PhraseQuery()
-    # Raw text -> its first matching phrase, or None.
-    matches: dict[str, str | None] = {}
-    hits: dict[str, str] = {}
-    for tweet_id, tweet in corpus.tweets.items():
-        text = tweet.text
-        try:
-            phrase = matches[text]
-        except KeyError:
-            haystack = normalize_text(text)
-            phrase = matches[text] = next(
-                (raw for raw, needle in zip(query.phrases, query.normalized)
-                 if needle in haystack), None)
-        if phrase is not None:
-            hits[tweet_id] = phrase
-    return dict(sorted(hits.items()))
+    table = corpus.table
+    # The first matching phrase of each distinct text some row uses, or None.
+    phrases: list[str | None] = [None] * len(table.texts)
+    for code in np.flatnonzero(np.bincount(table.text, minlength=len(table.texts))).tolist():
+        haystack = normalize_text(table.texts[code])
+        phrases[code] = next((raw for raw, needle in zip(query.phrases, query.normalized)
+                              if needle in haystack), None)
+    matched = np.array([phrase is not None for phrase in phrases], dtype=bool)
+    rows = np.flatnonzero(matched[table.text]).tolist()
+    return dict(sorted((table.ids[row], phrases[table.text[row]]) for row in rows))
 
 
 class SelfRevealCategory(Enum):
@@ -136,10 +134,9 @@ def category_summary(tweet_ids, corpus: Corpus,
     counts = {category: 0 for category in SelfRevealCategory}
     total = 0
     for tweet_id in sorted(set(tweet_ids)):
-        tweet = corpus.tweets.get(tweet_id)
-        if tweet is None:
+        if tweet_id not in corpus.table.row_of:
             raise KeyError(f"unknown tweet id: {tweet_id}")
-        counts[categorize_self_revealing(tweet.text, ruleset)] += 1
+        counts[categorize_self_revealing(corpus.table.text_of(tweet_id), ruleset)] += 1
         total += 1
     return [
         CategoryCount(category, n, 100.0 * n / total)

@@ -247,6 +247,26 @@ def test_report_rerun_byte_identical(capsys, synth_dir, tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+def test_report_and_stage_subcommands_build_no_tweet_rows(synth_dir, tmp_path, monkeypatch):
+    # The stages read the tweet columns. Every Tweet row the corpus builds goes
+    # through the corpus module's Tweet, so a stage that reads corpus.tweets or
+    # tweets_of shows up here.
+    from botsieve import corpus as cp
+    built = []
+    make_row = cp.Tweet
+    monkeypatch.setattr(cp, "Tweet", lambda *fields: built.append(fields[0]) or make_row(*fields))
+    for argv in (["report", "--detector", "heuristic"], ["scan-phrases"], ["expand-domains"],
+                 ["graph-stats", "--kind", "reply"], ["content-stats", "--group", "bot"],
+                 ["score", "--detector", "stub"], ["ingest", "--tweet-cap", "5", "--export"]):
+        out = tmp_path / argv[0]
+        assert run(argv + ["--corpus-dir", str(synth_dir), "--out", str(out)]) == 0, argv
+    assert built == []
+
+    corpus = cp.load_corpus(synth_dir / "accounts.jsonl", synth_dir / "tweets.jsonl")
+    first = next(iter(corpus.tweets))
+    assert corpus.tweets[first].tweet_id == first and built == [first]
+
+
 def test_tweet_cap_flag(capsys, synth_dir, tmp_path):
     from botsieve.corpus import load_corpus
     full = load_corpus(synth_dir / "accounts.jsonl", synth_dir / "tweets.jsonl")
