@@ -503,11 +503,13 @@ def make_corpus(accounts, tweets, edges=(), partition=None, load_report=None,
         values = {name: map(attrgetter(name), tweets) for name in _TWEET_FIELDS}
         values["created_at"] = map(_instant_us, values["created_at"])
         table = _table(values)
-    seen = set()
-    for tweet_id in table.ids:
-        if tweet_id in seen:
-            raise CorpusError(f"duplicate tweet_id: {tweet_id}")
-        seen.add(tweet_id)
+    # A dict of the ids takes less memory than a set of them.
+    if len(dict.fromkeys(table.ids)) != len(table):
+        seen = set()
+        for tweet_id in table.ids:
+            if tweet_id in seen:
+                raise CorpusError(f"duplicate tweet_id: {tweet_id}")
+            seen.add(tweet_id)
     return Corpus(
         accounts=account_index,
         table=table,
@@ -698,7 +700,7 @@ def _tweet_loader(account_ids):
         columns = {name: rows[name].copy() for name in _DTYPES}
         del rows
         packed.clear()
-        return _new_table(ids, account_code, kinds=list(kinds), texts=list(texts),
+        return _new_table(ids, account_code, kinds=list(KINDS), texts=list(texts),
                           hashtag_lists=list(hashtag_lists), url_lists=list(url_lists),
                           languages=list(languages), **columns)
 
