@@ -2,10 +2,10 @@
 
 A corpus is four files (accounts.jsonl, tweets.jsonl, edges.jsonl,
 labels.csv) loaded into an immutable in-memory ``Corpus``, whose tweets are
-one columnar ``TweetTable``. Loading is tolerant: lines that decode but fail the record schema are dropped and
-reported; lines that do not decode at all are fatal once they exceed 10%
-of a file. Duplicate identifiers are always fatal. Everything downstream
-treats the corpus as read-only.
+one columnar ``TweetTable``. Loading is tolerant: lines that decode but fail
+the record schema are dropped and reported; lines that do not decode at all
+are fatal once they exceed 10% of a file. Duplicate identifiers are always
+fatal. Everything downstream treats the corpus as read-only.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _MICROSECOND = timedelta(microseconds=1)
 
 # The encoder json.dumps(value, ensure_ascii=False, sort_keys=True) would build
 # anew on every call (its arguments are not the defaults), and the string
-# encoder it uses; see _write_jsonl.
+# encoder it uses; see _encode_value.
 _encode_json = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 _encode_str = json.encoder.encode_basestring
 
@@ -468,13 +468,9 @@ class Corpus:
     @property
     def tweets_by_author(self) -> dict[str, tuple[str, ...]]:
         """Tweet ids per author, in the index's order, authors sorted by id."""
-        order, bounds = self._author_index
-        ids = self.table.ids
-        runs = {account_id: tuple([ids[row] for row in order[start:stop].tolist()])
-                for account_id, start, stop in zip(self.table.account_ids, bounds.tolist(),
-                                                   bounds[1:].tolist())
-                if start < stop}
-        return dict(sorted(runs.items()))
+        authors = sorted(self.table.account_ids[code] for code in np.unique(self.table.author))
+        return {author: tuple(self.table.values("tweet_id", self.rows_of(author)))
+                for author in authors}
 
     @property
     def n_accounts(self) -> int:
@@ -1000,37 +996,19 @@ def _encode_value(value) -> str:
     return _encode_json(value)
 
 
-def _heads(keys) -> list[str]:
-    """The encoded ``{"key": `` and ``, "key": `` heads of a line with these keys."""
-    return ["{" + _encode_str(keys[0]) + ": "] + [", " + _encode_str(k) + ": " for k in keys[1:]]
-
-
-def _write_jsonl(path: Path, records, kind) -> None:
-    """Write one line per record of dataclass ``kind``, in the form
-    ``export_corpus`` documents."""
-    keys = sorted(f.name for f in fields(kind))
-    heads = _heads(keys)
-    at = keys.index("created_at")
-    get = attrgetter(*keys)
-    with open(path, "w", encoding="utf-8") as fh:
-        write = fh.write
-        for record in records:
-            values = list(get(record))
-            values[at] = format_instant(values[at])
-            write("".join([head + _encode_value(value) for head, value in zip(heads, values)])
-                  + "}\n")
+def _write_lines(fh, values: dict) -> None:
+    """Write one JSON object per row, keys sorted; ``values`` maps each key to
+    the encoded values of the rows, in row order."""
+    keys = sorted(values)
+    line = "{" + ", ".join(_encode_str(key) + ": %s" for key in keys) + "}\n"
+    fh.writelines(map(line.__mod__, zip(*(values[key] for key in keys))))
 
 
 def _write_tweets(path: Path, table: TweetTable, chunk: int = 8192) -> None:
     """Write the table's rows in tweet-id order, in the form ``export_corpus``
-    documents. Each distinct value is encoded once; the rows are formatted
-    ``chunk`` at a time, ``created_at`` for a whole chunk at once."""
+    documents. The rows are formatted ``chunk`` at a time: each distinct value
+    in a chunk is encoded once, and ``created_at`` for the whole chunk at once."""
     order = np.array(sorted(range(len(table)), key=table.ids.__getitem__), dtype=np.intp)
-    # Each list ends with "null", the value of the account code -1.
-    encoded = {name: [*map(_encode_value, getattr(table, name)), "null"]
-               for _, name in _CODED.values()}
-    keys = sorted(_TWEET_FIELDS)
-    line = "".join(head + "%s" for head in _heads(keys)) + "}\n"
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(order), chunk):
             rows = order[start:start + chunk]
@@ -1041,9 +1019,12 @@ def _write_tweets(path: Path, table: TweetTable, chunk: int = 8192) -> None:
                                      for stamp in stamps],
                       "tweet_id": map(_encode_value, table.values("tweet_id", rows))}
             for name, (column, values_name) in _CODED.items():
-                values[name] = map(encoded[values_name].__getitem__,
-                                   getattr(table, column)[rows].tolist())
-            fh.writelines(map(line.__mod__, zip(*(values[key] for key in keys))))
+                codes, inverse = np.unique(getattr(table, column)[rows], return_inverse=True)
+                listing = getattr(table, values_name)
+                encoded = [_encode_value(None if code < 0 else listing[code])
+                           for code in codes.tolist()]
+                values[name] = map(encoded.__getitem__, inverse.tolist())
+            _write_lines(fh, values)
 
 
 def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
@@ -1066,8 +1047,12 @@ def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
     }
     # Writing creates no reference cycles; a collection would only walk the heap.
     with _gc_paused():
-        accounts = corpus.accounts
-        _write_jsonl(paths["accounts"], map(accounts.__getitem__, sorted(accounts)), Account)
+        accounts = list(map(corpus.accounts.__getitem__, sorted(corpus.accounts)))
+        values = {f.name: map(_encode_value, map(attrgetter(f.name), accounts))
+                  for f in fields(Account)}
+        values["created_at"] = (_encode_str(format_instant(a.created_at)) for a in accounts)
+        with open(paths["accounts"], "w", encoding="utf-8") as fh:
+            _write_lines(fh, values)
         _write_tweets(paths["tweets"], corpus.table)
         with open(paths["edges"], "w", encoding="utf-8") as fh:
             for edge in sorted(corpus.follow_edges, key=lambda e: (e.source, e.target)):
