@@ -318,14 +318,16 @@ def _cmd_scan_phrases(args):
         if args.rules else seedscan.DEFAULT_RULESET
     hits = seedscan.find_phrase_tweets(corpus, query)
     out = _out_dir(args)
-    hit_rows = [(tid, corpus.table.author_of(tid), phrase) for tid, phrase in hits.items()]
+    row_of = corpus.table.rows_by_id(hits)
+    rows = [row_of[tid] for tid in hits]
+    hit_rows = list(zip(hits, corpus.table.values("author_id", rows), hits.values()))
     category_rows = _category_rows(corpus, hits, ruleset)
     outputs = {
         "hits": _write_csv(out / "hits.csv", ("tweet_id", "account_id", "phrase"), hit_rows),
         "categories": _write_csv(
             out / "categories.csv", ("tweet_id", "category"),
-            [(tid, seedscan.categorize_self_revealing(corpus.table.text_of(tid), ruleset).value)
-             for tid in hits]),
+            [(tid, seedscan.categorize_self_revealing(text, ruleset).value)
+             for tid, text in zip(hits, corpus.table.values("text", rows))]),
         "category_summary": _write_csv(out / "category_summary.csv", CATEGORY_COLUMNS,
                                        category_rows),
     }

@@ -323,11 +323,11 @@ class TweetTable:
         mask[[code for code in map(self.account_code.get, account_ids) if code is not None]] = True
         return mask
 
-    def text_of(self, tweet_id) -> str:
-        return self.texts[self.text[self.row_of[tweet_id]]]
-
-    def author_of(self, tweet_id) -> str:
-        return self.account_ids[self.author[self.row_of[tweet_id]]]
+    def rows_by_id(self, tweet_ids) -> dict:
+        """The row of each of ``tweet_ids`` the table holds, found in one scan
+        of the ids: cheaper than building ``row_of`` for a few ids."""
+        wanted = set(tweet_ids)
+        return {tweet_id: row for row, tweet_id in enumerate(self.ids) if tweet_id in wanted}
 
 
 def _intern(values, codes: dict, table: list):

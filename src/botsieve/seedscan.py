@@ -132,12 +132,14 @@ def category_summary(tweet_ids, corpus: Corpus,
                      ruleset: CategoryRuleset = DEFAULT_RULESET) -> list[CategoryCount]:
     """Tally categories over a set of tweet ids; rows in taxonomy order."""
     counts = {category: 0 for category in SelfRevealCategory}
-    total = 0
-    for tweet_id in sorted(set(tweet_ids)):
-        if tweet_id not in corpus.table.row_of:
+    tweet_ids = sorted(set(tweet_ids))
+    rows = corpus.table.rows_by_id(tweet_ids)
+    for tweet_id in tweet_ids:
+        if tweet_id not in rows:
             raise KeyError(f"unknown tweet id: {tweet_id}")
-        counts[categorize_self_revealing(corpus.table.text_of(tweet_id), ruleset)] += 1
-        total += 1
+    for text in corpus.table.values("text", [rows[tweet_id] for tweet_id in tweet_ids]):
+        counts[categorize_self_revealing(text, ruleset)] += 1
+    total = len(tweet_ids)
     return [
         CategoryCount(category, n, 100.0 * n / total)
         for category, n in counts.items() if n > 0
