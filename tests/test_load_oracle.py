@@ -16,6 +16,7 @@ import csv
 import json
 import tempfile
 from array import array
+from datetime import timedelta
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import repeat
@@ -25,6 +26,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from botsieve import contentstats
 from botsieve import corpus as cp
 from botsieve.corpus import (MALFORMED_FATAL_FRACTION, VALID_KINDS, Account, CorpusError,
                              FollowEdge, GroupPartition, Tweet, ValidationReport, Violation,
@@ -485,6 +487,28 @@ OTHER_TWEETS = [
 ]
 
 
+def parse_tweet(obj):
+    """One tweet object read as the loader reads it, as a ``Tweet`` record."""
+    parse, finish = cp._tweet_loader(())
+    return finish([parse(obj, {}.setdefault)]).rows([0])[0]
+
+
+def parsed(parse, obj):
+    """The record parse makes of obj (with its repr, which shows the
+    created_at tzinfo), or the rule and detail it raises."""
+    try:
+        record = parse(obj)
+    except _RecordError as exc:
+        return ("error", exc.rule, exc.detail)
+    return ("record", record, repr(record))
+
+
+@given(tweet_objects(aliased=False))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_one_tweet_object_parses_as_the_reference(obj):
+    assert parsed(parse_tweet, obj) == parsed(lambda o: ref_parse_tweet(o, {}.setdefault), obj)
+
+
 @given(tweet_files())
 @settings(max_examples=250, derandomize=True, deadline=None)
 def test_load_and_export_match_the_frozen_reference(drawn):
@@ -520,3 +544,47 @@ def test_load_and_export_match_the_frozen_reference(drawn):
     ref_merged = outcome(lambda: ref_merge_corpora(ref, other[1]))
     assert merged[0] == ref_merged[0] == "ok"
     assert_same(merged[1], ref_merged[1])
+
+
+def test_records_without_an_author_match_the_reference():
+    # Records no loader makes: an author of None, next to a known and an
+    # unknown author, and a corpus with no accounts at all.
+    accounts = [Account("a1", "h1", cp.parse_instant(0), 0, 0, 0)]
+    at = cp.parse_instant("2023-01-01T00:00:00Z")
+    tweets = [Tweet("t1", "a1", at, "hi", "original"), Tweet("t2", None, at, "yo", "original"),
+              Tweet("t3", "x9", at, "hi", "reply", "a1"), Tweet("t4", None, at, "hi", "original")]
+    for accounts, tweets in ((accounts, tweets), ([], tweets[1:2])):
+        mine, ref = cp.make_corpus(accounts, tweets), ref_make_corpus(accounts, tweets)
+        assert records(mine) == records(ref)
+        assert cp.validate(mine).to_rows() == ref_validate(ref).to_rows()
+        # The reference's index cannot sort None among ids; its order is this.
+        for author in (None, "a1", "x9"):
+            assert mine.tweets_of(author) == tuple(sorted(
+                (t for t in tweets if t.author_id == author),
+                key=attrgetter("created_at", "tweet_id")))
+        point = contentstats.TernaryPoint
+        assert contentstats.group_mix_points(mine, ["a1", "x9"]) == (
+            {"a1": point(100.0, 0.0, 0.0), "x9": point(0.0, 100.0, 0.0)} if accounts else {})
+        with tempfile.TemporaryDirectory() as tmp:
+            out_mine = cp.export_corpus(mine, Path(tmp) / "mine")
+            out_ref = ref_export_corpus(ref, Path(tmp) / "ref")
+            assert out_mine["tweets"].read_bytes() == out_ref["tweets"].read_bytes()
+    assert mine.tweets_by_author == {None: ("t2",)}
+
+
+def test_export_across_chunks_matches_the_reference():
+    # More rows than two export chunks, with values that recur across chunks
+    # and ones that are new in each: every chunk encodes its own values.
+    n = 2 * cp._EXPORT_CHUNK + 37
+    start = cp.parse_instant("2023-01-01T00:00:00Z")
+    kinds = ("original", "reply", "retweet", "quote")
+    tweets = [Tweet(f"t{i:06d}", f"a{i % 7}", start + timedelta(seconds=i, microseconds=i % 3),
+                    f"text {i % 5000}", kinds[i % 4], f"a{i % 3}" if i % 4 == 1 else None,
+                    f"a{i % 5}" if i % 4 > 1 else None, ("btc", f"t{i % 11}")[:i % 3],
+                    (f"https://x{i % 9000}.org/",) if i % 2 else (), ("en", None, "es")[i % 3])
+              for i in reversed(range(n))]
+    mine, ref = cp.make_corpus([], tweets), ref_make_corpus([], tweets)
+    with tempfile.TemporaryDirectory() as tmp:
+        out_mine = cp.export_corpus(mine, Path(tmp) / "mine")
+        out_ref = ref_export_corpus(ref, Path(tmp) / "ref")
+        assert out_mine["tweets"].read_bytes() == out_ref["tweets"].read_bytes()
