@@ -19,11 +19,12 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import RETWEET, Corpus, Tweet, _iter_lines
+from .corpus import RETWEET, Corpus, _iter_lines
 
 # ---------------------------------------------------------------------------
 # Qualification and preprocessing
@@ -61,11 +62,17 @@ def _is_english(language: str | None) -> bool:
     return language is not None and (language == "en" or language.startswith("en-"))
 
 
-def _kept_tweets(corpus: Corpus, account_id: str, rules: QualificationRules) -> list[Tweet]:
-    """The account's tweets that pass the retweet and language filters, in order."""
-    return [tweet for tweet in corpus.tweets_of(account_id)
-            if not (rules.exclude_retweets and tweet.kind == "retweet")
-            and not (rules.english_only and not _is_english(tweet.language))]
+def _kept(table, rules: QualificationRules, rows=slice(None)) -> np.ndarray:
+    """Per given row of the TweetTable (all rows by default): whether the
+    tweet passes the retweet and language filters."""
+    kind = table.kind[rows]
+    kept = np.ones(len(kind), dtype=bool)
+    if rules.exclude_retweets:
+        kept &= kind != RETWEET
+    if rules.english_only:
+        english = np.array([_is_english(language) for language in table.languages], dtype=bool)
+        kept &= english[table.language[rows]]
+    return kept
 
 
 def qualify_tweets(corpus: Corpus, account_id: str,
@@ -73,8 +80,10 @@ def qualify_tweets(corpus: Corpus, account_id: str,
     """Processed texts of the account's qualified tweets (possibly empty)."""
     if account_id not in corpus.accounts:
         raise KeyError(f"unknown account: {account_id}")
-    texts = (process_text(tweet.text, tweet.kind, rules)
-             for tweet in _kept_tweets(corpus, account_id, rules))
+    rows = corpus.rows_of(account_id)
+    rows = rows[_kept(corpus.table, rules, rows)]
+    texts = map(process_text, corpus.table.values("text", rows),
+                corpus.table.values("kind", rows), repeat(rules))
     return [text for text in texts if text]
 
 
@@ -281,12 +290,7 @@ def score_corpus(corpus: Corpus, detector: TextDetector,
     """
     account_ids = sorted(set(group) if group is not None else corpus.accounts)
     table = corpus.table
-    kept = np.ones(len(table), dtype=bool)
-    if rules.exclude_retweets:
-        kept &= table.kind != RETWEET
-    if rules.english_only:
-        kept &= np.array([_is_english(language) for language in table.languages],
-                         dtype=bool)[table.language]
+    kept = _kept(table, rules)
     # One code per distinct (text, kind) pair; the memo maps it to () when
     # processing leaves nothing, else to (score,).
     n_kinds = len(table.kinds)
