@@ -20,8 +20,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .corpus import (Account, Corpus, FollowEdge, GroupPartition, Tweet, _gc_paused,
-                     make_corpus, merge_corpora)
+from .corpus import (Account, Corpus, FollowEdge, GroupPartition, _gc_paused, _instant_us,
+                     _table, make_corpus, merge_corpora)
 from .linkmap import DEFAULT_SEED_DOMAINS
 from .seedscan import SelfRevealCategory
 
@@ -216,20 +216,24 @@ def _partner(u: int, slot: int) -> int:
 
 def _assemble(ids, years, created_on, descriptions, followers, following, kind_counts,
               quote_counts, content, seconds=0):
-    """Account and Tweet records for one population.
+    """Account records and the tweet table of one population.
 
     Each account's tweets run original, reply, retweet, quote. Tweet t, a
     running index over the population, is stamped ``_EPOCH`` plus t minutes
     and ``seconds``. ``content(t, u, kind, nth)`` gives account u's nth tweet
     of its kind as (text, urls, hashtags, target, language); the target
     becomes the reply or reference target by kind, and a retweet's text gets
-    the ``RT @<target>: `` prefix. The numeric inputs are numpy arrays.
+    the ``RT @<target>: `` prefix. The numeric inputs are numpy arrays. The
+    tweets go straight into columns: no per-tweet record is built.
     """
     accounts = []
-    tweets = []
-    add = tweets.append
-    start = _EPOCH + timedelta(seconds=seconds)
-    minute = timedelta(minutes=1)
+    # Each column is allocated once at its full length.
+    total = int(kind_counts.sum())
+    columns = {name: [None] * total for name in ("tweet_id", "author_id", "text", "kind",
+                                                 "in_reply_to_account", "referenced_account",
+                                                 "hashtags", "urls", "language")}
+    (tweet_ids, authors, texts, kinds, reply_tos, referenceds, hashtag_lists, url_lists,
+     languages) = columns.values()
     t = 0
     for u, (account_id, year, n_followers, n_following, counts, n_quote) in enumerate(zip(
             ids, years.tolist(), followers.tolist(), following.tolist(), kind_counts.tolist(),
@@ -247,18 +251,24 @@ def _assemble(ids, years, created_on, descriptions, followers, following, kind_c
                             ("retweet", n_rtq - n_quote), ("quote", n_quote)):
             for nth in range(count):
                 text, urls, hashtags, target, language = content(t, u, kind, nth)
-                reply_to = referenced = None
+                if kind == "retweet":
+                    text = f"RT @{target}: {text}"
+                tweet_ids[t] = f"{account_id}-t{local:05d}"
+                authors[t] = account_id
+                texts[t] = text
+                kinds[t] = kind
                 if kind == "reply":
-                    reply_to = target
+                    reply_tos[t] = target
                 elif kind != "original":
-                    referenced = target
-                    if kind == "retweet":
-                        text = f"RT @{target}: {text}"
-                add(Tweet(f"{account_id}-t{local:05d}", account_id, start + t * minute, text,
-                          kind, reply_to, referenced, hashtags, urls, language))
+                    referenceds[t] = target
+                hashtag_lists[t] = hashtags
+                url_lists[t] = urls
+                languages[t] = language
                 t += 1
                 local += 1
-    return accounts, tweets
+    start = _instant_us(_EPOCH + timedelta(seconds=seconds))
+    columns["created_at"] = start + np.arange(total, dtype=np.int64) * 60_000_000
+    return accounts, _table(columns)
 
 
 def generate_botnet(params: BotnetParams = BotnetParams()) -> Corpus:
