@@ -1,0 +1,264 @@
+"""The tweets of a corpus in memory: the ``Tweet`` record and the columnar
+``TweetTable`` that holds every tweet as numpy code columns.
+
+``corpus`` builds tables as it loads, makes, merges and caps corpora, and
+re-exports the public names here. A table is immutable once built; its
+``Tweet`` rows are built on access.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from datetime import datetime, timedelta, timezone
+from functools import cached_property
+from itertools import repeat
+
+import numpy as np
+
+# Tweet kinds in code order: TweetTable.kind holds ORIGINAL..QUOTE for them.
+KINDS = ("original", "reply", "retweet", "quote")
+ORIGINAL, REPLY, RETWEET, QUOTE = range(len(KINDS))
+VALID_KINDS = frozenset(KINDS)
+
+# Tweet instants are stored as UTC microseconds since the epoch.
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+@dataclass(frozen=True, slots=True)
+class Tweet:
+    tweet_id: str
+    author_id: str
+    created_at: datetime
+    text: str
+    kind: str
+    in_reply_to_account: str | None = None
+    referenced_account: str | None = None
+    hashtags: tuple[str, ...] = ()
+    urls: tuple[str, ...] = ()
+    language: str | None = None
+
+
+def _instant_us(dt: datetime) -> int:
+    """UTC microseconds since the epoch; a naive datetime reads as UTC."""
+    if dt.tzinfo is not timezone.utc and dt.utcoffset() is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return (dt - _EPOCH) // _MICROSECOND
+
+
+# The code columns of a TweetTable and their dtypes; see TweetTable.
+_DTYPES = {"author": np.int32, "reply_to": np.int32, "referenced": np.int32, "kind": np.int8,
+           "created_us": np.int64, "text": np.int32, "hashtags": np.int32, "urls": np.int32,
+           "language": np.int32}
+# Tweet field -> (its code column, the TweetTable list the codes index).
+_CODED = {"author_id": ("author", "account_ids"), "text": ("text", "texts"),
+          "kind": ("kind", "kinds"), "in_reply_to_account": ("reply_to", "account_ids"),
+          "referenced_account": ("referenced", "account_ids"),
+          "hashtags": ("hashtags", "hashtag_lists"), "urls": ("urls", "url_lists"),
+          "language": ("language", "languages")}
+_TWEET_FIELDS = tuple(f.name for f in fields(Tweet))
+
+
+@dataclass(frozen=True, eq=False)
+class TweetTable:
+    """Every tweet of a corpus as columns, one row per tweet in insertion order.
+
+    ``ids`` holds the tweet ids; ``row_of``, built on first use, maps each to
+    its row. The columns are read-only numpy arrays:
+
+    - ``author``, ``reply_to``, ``referenced``: int32 codes into
+      ``account_ids`` (``account_code`` maps an id to its code). Every author
+      has a code, even None in a corpus not read from files; -1 is no target;
+    - ``kind``: int8 codes into ``kinds``, which starts with ``KINDS``;
+    - ``created_us``: int64 UTC microseconds since the epoch;
+    - ``text``, ``hashtags``, ``urls``, ``language``: int32 codes into the
+      distinct-value lists ``texts``, ``hashtag_lists``, ``url_lists`` and
+      ``languages`` (where None stands for no language).
+
+    A list may hold values no row uses: a capped table keeps all of its
+    source's. Two tables compare equal when they hold the same rows.
+    """
+
+    ids: list
+    account_ids: list
+    account_code: dict
+    author: np.ndarray
+    reply_to: np.ndarray
+    referenced: np.ndarray
+    kind: np.ndarray
+    kinds: list
+    created_us: np.ndarray
+    text: np.ndarray
+    texts: list
+    hashtags: np.ndarray
+    hashtag_lists: list
+    urls: np.ndarray
+    url_lists: list
+    language: np.ndarray
+    languages: list
+    # URL-list code -> its domains, filled as linkmap's stages first need them.
+    url_domains: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def row_of(self) -> dict:
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    def __eq__(self, other):
+        if not isinstance(other, TweetTable):
+            return NotImplemented
+        return TweetRows(self) == TweetRows(other)
+
+    def values(self, name: str, rows=None) -> list:
+        """The ``Tweet`` field ``name`` of the given rows (all rows if None),
+        with ``created_at`` as UTC microseconds."""
+        rows = np.arange(len(self.ids)) if rows is None else np.asarray(rows, dtype=np.intp)
+        if name == "tweet_id":
+            return [self.ids[row] for row in rows.tolist()]
+        if name == "created_at":
+            return self.created_us[rows].tolist()
+        column, values = _CODED[name]
+        values = getattr(self, values)
+        if values is self.account_ids:
+            values = [*values, None]  # the code -1
+        return [values[code] for code in getattr(self, column)[rows].tolist()]
+
+    def rows(self, rows=None) -> list[Tweet]:
+        """``Tweet`` records of the given rows (all rows if None), built anew
+        on each call."""
+        values = {name: self.values(name, rows) for name in _TWEET_FIELDS}
+        values["created_at"] = [_EPOCH + timedelta(microseconds=us) for us in values["created_at"]]
+        return list(map(Tweet, *values.values()))
+
+    def account_mask(self, account_ids) -> np.ndarray:
+        """Boolean array over account codes, True at the codes of
+        ``account_ids`` (ids the table does not hold are ignored). It ends
+        with one extra False, so a code column indexes it with -1 as False."""
+        mask = np.zeros(len(self.account_ids) + 1, dtype=bool)
+        mask[[code for code in map(self.account_code.get, account_ids) if code is not None]] = True
+        return mask
+
+    def rows_by_id(self, tweet_ids) -> dict:
+        """The row of each of ``tweet_ids`` the table holds, found in one scan
+        of the ids: cheaper than building ``row_of`` for a few ids."""
+        wanted = set(tweet_ids)
+        return {tweet_id: row for row, tweet_id in enumerate(self.ids) if tweet_id in wanted}
+
+
+class _Own:
+    """Key of a value that gets a code of its own: one that is not None, a
+    str or a tuple of str. Equal such values may be written differently, as
+    (1,) and (True,) are, and some cannot be hashed."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _code(codes: dict, value) -> int:
+    """The code of ``value`` in ``codes``, which maps each distinct value (or
+    its ``_Own`` key) to its code in first-seen order; a new value is added."""
+    if not (value is None or type(value) is str
+            or (type(value) is tuple and all(type(v) is str for v in value))):
+        value = _Own(value)
+    return codes.setdefault(value, len(codes))
+
+
+def _value_codes() -> dict[str, dict]:
+    """The value lists of a new TweetTable as code dicts (see ``_code``), seeded
+    alike for every table: the kinds in KINDS order; the empty hashtag and URL
+    lists and no language at code 0."""
+    return {"kinds": dict(zip(KINDS, range(len(KINDS)))), "texts": {},
+            "hashtag_lists": {(): 0}, "url_lists": {(): 0}, "languages": {None: 0}}
+
+
+def _new_table(ids, account_code, codes, **columns) -> TweetTable:
+    """A TweetTable of the given ids, account codes, value code dicts and code
+    columns (any sequences; they become read-only numpy arrays here)."""
+    for name, dtype in _DTYPES.items():
+        columns[name] = np.ascontiguousarray(columns[name], dtype=dtype)
+        columns[name].setflags(write=False)
+    lists = {name: [key.value if type(key) is _Own else key for key in keys]
+             for name, keys in codes.items()}
+    return TweetTable(ids=ids, account_ids=list(account_code), account_code=account_code,
+                      **lists, **columns)
+
+
+def _table(values: dict) -> TweetTable:
+    """A TweetTable of the rows given as, per ``Tweet`` field, an iterable of
+    one value per row (``created_at`` as UTC microseconds)."""
+    ids = list(values["tweet_id"])
+    account_code: dict = {}
+    codes = _value_codes()
+    columns = {"created_us": np.fromiter(values["created_at"], dtype=np.int64, count=len(ids))}
+    for name, (column, listing) in _CODED.items():
+        if listing == "account_ids":
+            # Every author gets a code, None included; a missing target is -1.
+            coded = (-1 if value is None and column != "author"
+                     else account_code.setdefault(value, len(account_code))
+                     for value in values[name])
+        else:
+            coded = map(_code, repeat(codes[listing]), values[name])
+        columns[column] = np.fromiter(coded, dtype=_DTYPES[column], count=len(ids))
+    return _new_table(ids, account_code, codes, **columns)
+
+
+def _join(parts) -> TweetTable:
+    """One TweetTable of the rows of the given (table, rows) parts, in order
+    (rows None: all of them). Each part's value lists are coded into the new
+    table's once, and its code columns are mapped through them."""
+    account_code: dict = {}
+    codes = _value_codes()
+    ids = []
+    columns = {name: [np.empty(0, dtype=dtype)] for name, dtype in _DTYPES.items()}
+    for table, rows in parts:
+        ids += table.ids if rows is None else map(table.ids.__getitem__, rows)
+        rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+        columns["created_us"].append(table.created_us[rows])
+        for column, listing in _CODED.values():
+            if listing == "account_ids":
+                # The last entry maps the code -1 of a missing target to -1.
+                new = [*(account_code.setdefault(account_id, len(account_code))
+                         for account_id in table.account_ids), -1]
+            else:
+                new = [_code(codes[listing], value) for value in getattr(table, listing)]
+            new = np.array(new, dtype=_DTYPES[column])
+            columns[column].append(new[getattr(table, column)[rows]])
+    return _new_table(ids, account_code, codes,
+                      **{name: np.concatenate(arrays) for name, arrays in columns.items()})
+
+
+class TweetRows(Mapping):
+    """Read-only ``tweet_id -> Tweet`` view of a TweetTable, in row order.
+
+    Every access builds new ``Tweet`` records: they compare equal to the ones
+    an earlier access built, but are not the same objects. ``values()`` and
+    ``items()`` build all rows at once and return lists.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: TweetTable):
+        self.table = table
+
+    def __getitem__(self, tweet_id) -> Tweet:
+        return self.table.rows([self.table.row_of[tweet_id]])[0]
+
+    def __contains__(self, tweet_id) -> bool:
+        return tweet_id in self.table.row_of
+
+    def __iter__(self):
+        return iter(self.table.ids)
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def values(self) -> list[Tweet]:
+        return self.table.rows(range(len(self.table)))
+
+    def items(self) -> list[tuple[str, Tweet]]:
+        return list(zip(self.table.ids, self.values()))

@@ -248,13 +248,15 @@ def test_report_rerun_byte_identical(capsys, synth_dir, tmp_path):
 
 
 def test_report_and_stage_subcommands_build_no_tweet_rows(synth_dir, tmp_path, monkeypatch):
-    # The stages read the tweet columns. Every Tweet row the corpus builds goes
-    # through the corpus module's Tweet, so a stage that reads corpus.tweets or
+    # The stages read the tweet columns. Every Tweet row a corpus builds goes
+    # through the table module's Tweet, so a stage that reads corpus.tweets or
     # tweets_of shows up here.
     from botsieve import corpus as cp
+    from botsieve import table
     built = []
-    make_row = cp.Tweet
-    monkeypatch.setattr(cp, "Tweet", lambda *fields: built.append(fields[0]) or make_row(*fields))
+    make_row = table.Tweet
+    monkeypatch.setattr(table, "Tweet",
+                        lambda *fields: built.append(fields[0]) or make_row(*fields))
     for argv in (["report", "--detector", "heuristic"], ["scan-phrases"], ["expand-domains"],
                  ["graph-stats", "--kind", "reply"], ["content-stats", "--group", "bot"],
                  ["score", "--detector", "stub"], ["ingest", "--tweet-cap", "5", "--export"]):
