@@ -20,10 +20,11 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .corpus import (Account, Corpus, FollowEdge, GroupPartition, _gc_paused, _instant_us,
-                     _table, make_corpus, merge_corpora)
+from .corpus import (Account, Corpus, FollowEdge, GroupPartition, _gc_paused, make_corpus,
+                     merge_corpora)
 from .linkmap import DEFAULT_SEED_DOMAINS
 from .seedscan import SelfRevealCategory
+from .table import _instant_us, _table
 
 # The five canonical self-revealing refusal texts with their observed
 # frequency weights; the generator slot-fills variations of these.
