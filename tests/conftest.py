@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from botsieve.corpus import (Account, FollowEdge, GroupPartition, Tweet,
+from botsieve.corpus import (Account, FollowEdge, GroupPartition, Tweet, _tweet_loader,
                              make_corpus, parse_instant)
 
 
@@ -41,3 +41,9 @@ def corpus_of(accounts, tweets, edges=(), groups=None):
         {name: frozenset(members) for name, members in (groups or {}).items()}
     )
     return make_corpus(accounts, tweets, [FollowEdge(*e) for e in edges], partition)
+
+
+def parse_tweet(obj):
+    """One tweet object read as the loader reads it, as a ``Tweet`` record."""
+    parse, finish = _tweet_loader(())
+    return finish([parse(obj, {}.setdefault)]).rows([0])[0]

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from botsieve import corpus as cp
 from botsieve import synthnet as sn
-from conftest import account, corpus_of, tweet
-from test_load_oracle import parse_tweet
+from conftest import account, corpus_of, parse_tweet, tweet
 
 ACCOUNT_LINES = [
     {"account_id": "a1", "handle": "alice", "created_at": "2019-03-01T12:00:00Z",

@@ -34,6 +34,7 @@ from botsieve.corpus import (MALFORMED_FATAL_FRACTION, VALID_KINDS, Account, Cor
                              _identifier, _iter_lines, _load_labels, _not_a_string,
                              _parse_account, _parse_edge, _RecordError, format_instant,
                              normalize_hashtag)
+from conftest import parse_tweet
 
 
 @dataclass(frozen=True)
@@ -485,12 +486,6 @@ OTHER_TWEETS = [
     Tweet("m2", "z1", cp.parse_instant("2022-01-01T00:00:00Z"), "hi", "original",
           "a0", None, (), (), None),
 ]
-
-
-def parse_tweet(obj):
-    """One tweet object read as the loader reads it, as a ``Tweet`` record."""
-    parse, finish = cp._tweet_loader(())
-    return finish([parse(obj, {}.setdefault)]).rows([0])[0]
 
 
 def parsed(parse, obj):
