@@ -1,9 +1,11 @@
 """Command-line surface: file-driven pipeline stages over offline corpora.
 
-Every subcommand reads corpus/score files, writes CSV/JSON outputs into an
-output directory, and (with --json) prints a machine-readable summary on
-stdout that validates against schemas/cli_summary.schema.json. Re-running a
-subcommand with identical inputs overwrites outputs byte-identically.
+Every subcommand reads corpus/score files, computes every output file, and
+only then writes them into an output directory, so a usage or data error
+writes nothing (``ingest --strict`` writes its report, then exits 2). With
+--json it prints a machine-readable summary on stdout that validates against
+schemas/cli_summary.schema.json. Re-running a subcommand with identical
+inputs overwrites outputs byte-identically.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -44,30 +46,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Small deterministic writers
+# The stage runner. A stage is a function (corpus, args) -> (files, metrics):
+# ``files`` maps each --json output name to a file name and its content, a
+# CSV's (header, rows) or a JSON object. Subcommands without a corpus get None.
 
-def _write_csv(path: Path, header, rows) -> Path:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+def _run_stage(args):
+    """Load the subcommand's corpus, let its stage compute every file, then create
+    --out and write them all; returns the corpus, --out and the --json summary."""
+    corpus = args.load(args) if args.load is not None else None
+    files, metrics = args.stage(corpus, args)
+    out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "botsieve_out"))
+    _write_files(out, files)
+    outputs = {name: str(out / file_name) for name, (file_name, _) in files.items()}
+    return corpus, out, {"command": args.command, "status": "ok",
+                         "outputs": outputs, "metrics": metrics}
 
 
-def _write_json(path: Path, obj) -> Path:
-    # Serialized first, so a non-finite value leaves no partial file behind.
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-def _summary(command: str, outputs: dict[str, Path], metrics: dict) -> dict:
-    return {
-        "command": command,
-        "status": "ok",
-        "outputs": {name: str(path) for name, path in outputs.items()},
-        "metrics": metrics,
-    }
+def _write_files(out: Path, files: dict) -> None:
+    # Every JSON text is serialized first, so a non-finite value leaves no file behind.
+    texts = {name: json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
+             for name, (_, content) in files.items() if isinstance(content, dict)}
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (file_name, content) in files.items():
+        with open(out / file_name, "w", encoding="utf-8", newline="") as fh:
+            if name in texts:
+                fh.write(texts[name])
+            else:
+                writer = csv.writer(fh)
+                writer.writerow(content[0])
+                writer.writerows(content[1])
 
 
 def _positive_int(text: str) -> int:
@@ -90,90 +97,64 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _name_list(text: str) -> list[str] | None:
+    """Comma-separated names; an empty value is the same as none given."""
+    return [n.strip() for n in text.split(",") if n.strip()] if text else None
+
+
 # ---------------------------------------------------------------------------
-# Row builders shared by the single-stage subcommands and `report`, which
-# prefixes its edge_kind/group column onto the same rows.
+# Column headers and row builders shared by the stages and `report`, which
+# leads a stage's rows with its edge_kind/group column.
 
 DEGREE_COLUMNS = ("direction", "degree", "count")
 PAIR_COLUMNS = ("source_group", "target_group", "pairs_with_edge", "rate")
 TERNARY_COLUMNS = ("i", "j", "k", "count")
-CATEGORY_COLUMNS = ("category", "count", "percentage")
+HASHTAG_COLUMNS = ("rank", "hashtag", "count")
+AMPLIFIED_COLUMNS = ("rank", "account_id", "count")
 SWEEP_COLUMNS = ("threshold", "precision", "recall", "f1")
-
-
-def _graph_stats(corpus: Corpus, kind: str, members):
-    """The kind's graph over ``members`` (None: every account), its degree
-    summary and the metrics graph-stats reports."""
-    graph = graphlab.build_graph(corpus, kind, node_restriction=members)
-    summary = graphlab.degree_stats(graph)
-    metrics = {
-        "mean_in": summary.mean_in, "sd_in": summary.sd_in,
-        "mean_out": summary.mean_out, "sd_out": summary.sd_out,
-        "n_nodes": graph.n_nodes, "n_edges": graph.n_edges,
-        "largest_wcc_size": len(graphlab.largest_wcc(graph)),
-    }
-    return graph, summary, metrics
-
-
-def _degree_rows(summary: graphlab.DegreeSummary) -> list[tuple]:
-    return ([("in", d, c) for d, c in summary.in_histogram.items()]
-            + [("out", d, c) for d, c in summary.out_histogram.items()])
-
-
-def _pair_rows(graph, partition: GroupPartition) -> list[tuple]:
-    matrix = graphlab.pair_rate_matrix(graph, partition)
-    return [(src, dst, int(matrix.counts[i, j]), float(matrix.rates[i, j]))
-            for i, src in enumerate(matrix.groups) for j, dst in enumerate(matrix.groups)]
-
-
-def _ternary_rows(points, resolution: int) -> list[tuple]:
-    grid = contentstats.ternary_bin(points.values(), resolution)
-    return [(i, j, k, c) for (i, j, k), c in grid.bins.items()]
 
 
 def _rank_rows(ranking) -> list[tuple]:
     return [(r + 1, key, c) for r, (key, c) in enumerate(ranking)]
 
 
-def _category_rows(corpus: Corpus, hits, ruleset=seedscan.DEFAULT_RULESET) -> list[tuple]:
-    return [(row.category.value, row.count, row.percentage)
-            for row in seedscan.category_summary(hits.keys(), corpus, ruleset)]
-
-
 def _sweep_rows(outcome: detectkit.SweepOutcome) -> list[tuple]:
     return [(r.threshold, r.precision, r.recall, r.f1) for r in outcome.curve]
+
+
+def _keyed(column: str, columns, parts) -> tuple:
+    """A CSV led by ``column``: the rows of each (key, stage CSV file) part,
+    each behind its key."""
+    return ((column, *columns), [(key, *row) for key, (_, (_, rows)) in parts for row in rows])
+
+
+def _with(args, **options) -> argparse.Namespace:
+    return argparse.Namespace(**{**vars(args), **options})
 
 
 # ---------------------------------------------------------------------------
 # Shared argument plumbing
 
-def _add_corpus_command(sub, name: str, handler, help: str):
-    """A subcommand that loads a corpus and writes into --out."""
+def _add_command(sub, name: str, stage, help: str, corpus: bool = False, **defaults):
+    """A subcommand that runs ``stage`` and writes into --out; with
+    ``corpus``, on the corpus its input options name."""
     parser = sub.add_parser(name, help=help)
-    parser.add_argument("--corpus-dir", help="directory holding accounts.jsonl, "
-                        "tweets.jsonl, edges.jsonl, labels.csv")
-    parser.add_argument("--accounts", help="accounts.jsonl path (overrides --corpus-dir)")
-    parser.add_argument("--tweets", help="tweets.jsonl path (overrides --corpus-dir)")
-    parser.add_argument("--edges", help="edges.jsonl path")
-    parser.add_argument("--labels", help="labels.csv path")
-    parser.add_argument("--aliases", help="JSON file mapping canonical field names "
-                        "to the names used in the input files")
-    parser.add_argument("--tweet-cap", type=_positive_int, default=None,
-                        help="keep only each account's N most recent tweets")
-    _add_out_arg(parser)
-    parser.set_defaults(handler=handler)
-    return parser
-
-
-def _add_out_arg(parser):
+    if corpus:
+        parser.add_argument("--corpus-dir", help="directory holding accounts.jsonl, "
+                            "tweets.jsonl, edges.jsonl, labels.csv")
+        parser.add_argument("--accounts", help="accounts.jsonl path (overrides --corpus-dir)")
+        parser.add_argument("--tweets", help="tweets.jsonl path (overrides --corpus-dir)")
+        parser.add_argument("--edges", help="edges.jsonl path")
+        parser.add_argument("--labels", help="labels.csv path")
+        parser.add_argument("--aliases", help="JSON file mapping canonical field names "
+                            "to the names used in the input files")
+        parser.add_argument("--tweet-cap", type=_positive_int, default=None,
+                            help="keep only each account's N most recent tweets")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default: ${OUTPUT_DIR_ENV} or ./botsieve_out)")
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "botsieve_out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    parser.set_defaults(**{"stage": stage, "load": _load_corpus_from_args if corpus else None,
+                           "after_write": lambda *_: {}, **defaults})
+    return parser
 
 
 def _require(path_str: str | None, label: str) -> Path:
@@ -274,19 +255,15 @@ def _add_detector_args(parser):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Stages
 
-def _cmd_ingest(args):
-    corpus = _load_corpus_from_args(args)
+def _ingest(corpus, args):
     report = validate(corpus)
-    out = _out_dir(args)
-    outputs = {
-        "validation_report": _write_csv(
-            out / "validation_report.csv",
+    files = {
+        "validation_report": ("validation_report.csv", (
             ("file", "line", "identifier", "rule", "detail"),
-            list(corpus.load_report.to_rows()) + list(report.to_rows()),
-        ),
-        "corpus_summary": _write_json(out / "corpus_summary.json", {
+            list(corpus.load_report.to_rows()) + list(report.to_rows()))),
+        "corpus_summary": ("corpus_summary.json", {
             "n_accounts": corpus.n_accounts,
             "n_tweets": corpus.n_tweets,
             "n_follow_edges": len(corpus.follow_edges),
@@ -295,140 +272,139 @@ def _cmd_ingest(args):
             "n_invariant_violations": len(report),
         }),
     }
-    if args.export:
-        exported = export_corpus(corpus, out / "corpus")
-        outputs.update({f"export_{k}": v for k, v in exported.items()})
-    if args.strict and (corpus.load_report or report):
-        raise DataError(
-            f"validation failed: {len(corpus.load_report)} load + {len(report)} invariant violations"
-        )
     metrics = {
         "n_accounts": corpus.n_accounts,
         "n_tweets": corpus.n_tweets,
         "n_violations": len(corpus.load_report) + len(report),
     }
-    return _summary("ingest", outputs, metrics)
+    return files, metrics
 
 
-def _cmd_scan_phrases(args):
-    corpus = _load_corpus_from_args(args)
+def _ingest_after_write(args, corpus, out, metrics) -> dict:
+    """ingest's own step once its report is written: --export, then --strict."""
+    exported = export_corpus(corpus, out / "corpus") if args.export else {}
+    n_load = len(corpus.load_report)
+    if args.strict and metrics["n_violations"]:
+        raise DataError(f"validation failed: {n_load} load + "
+                        f"{metrics['n_violations'] - n_load} invariant violations")
+    return {f"export_{k}": str(v) for k, v in exported.items()}
+
+
+def _scan_phrases(corpus, args):
     query = seedscan.load_phrases(_require(args.phrases, "--phrases")) \
         if args.phrases else seedscan.PhraseQuery()
     ruleset = seedscan.load_ruleset(_require(args.rules, "--rules")) \
         if args.rules else seedscan.DEFAULT_RULESET
     hits = seedscan.find_phrase_tweets(corpus, query)
-    out = _out_dir(args)
     row_of = corpus.table.rows_by_id(hits)
     rows = [row_of[tid] for tid in hits]
     hit_rows = list(zip(hits, corpus.table.values("author_id", rows), hits.values()))
-    category_rows = _category_rows(corpus, hits, ruleset)
-    outputs = {
-        "hits": _write_csv(out / "hits.csv", ("tweet_id", "account_id", "phrase"), hit_rows),
-        "categories": _write_csv(
-            out / "categories.csv", ("tweet_id", "category"),
+    category_rows = [(row.category.value, row.count, row.percentage)
+                     for row in seedscan.category_summary(hits.keys(), corpus, ruleset)]
+    files = {
+        "hits": ("hits.csv", (("tweet_id", "account_id", "phrase"), hit_rows)),
+        "categories": ("categories.csv", (
+            ("tweet_id", "category"),
             [(tid, seedscan.categorize_self_revealing(text, ruleset).value)
-             for tid, text in zip(hits, corpus.table.values("text", rows))]),
-        "category_summary": _write_csv(out / "category_summary.csv", CATEGORY_COLUMNS,
-                                       category_rows),
+             for tid, text in zip(hits, corpus.table.values("text", rows))])),
+        "category_summary": ("category_summary.csv",
+                             (("category", "count", "percentage"), category_rows)),
     }
     metrics = {
         "n_hits": len(hits),
         "n_accounts": len({author for _, author, _ in hit_rows}),
         "categories": {category: count for category, count, _ in category_rows},
     }
-    return _summary("scan-phrases", outputs, metrics)
+    return files, metrics
 
 
-def _cmd_expand_domains(args):
-    corpus = _load_corpus_from_args(args)
+def _expand_domains(corpus, args):
     seeds = linkmap.load_seed_domains(_require(args.seeds, "--seeds")) \
         if args.seeds else linkmap.DEFAULT_SEED_DOMAINS
     expanded = linkmap.expand_by_domains(corpus, seeds)
-    out = _out_dir(args)
-    outputs = {
-        "expanded_accounts": _write_csv(out / "expanded_accounts.csv", ("account_id",),
-                                        [(a,) for a in sorted(expanded)]),
-        "domain_freq": _write_csv(
-            out / "domain_freq.csv", ("domain", "count"),
-            linkmap.domain_frequency(corpus, expanded, args.top)),
-    }
+    domains = linkmap.domain_frequency(corpus, expanded, args.top)
     share = linkmap.domain_share_profiles(corpus, expanded, seeds)
-    outputs["share_profiles"] = _write_csv(
-        out / "share_profiles.csv", ("account_id", "share_probability"),
-        [(p.account_id, p.share_probability) for p in share.profiles])
-    return _summary("expand-domains", outputs, {
+    files = {
+        "expanded_accounts": ("expanded_accounts.csv",
+                              (("account_id",), [(a,) for a in sorted(expanded)])),
+        "domain_freq": ("domain_freq.csv", (("domain", "count"), domains)),
+        "share_profiles": ("share_profiles.csv", (
+            ("account_id", "share_probability"),
+            [(p.account_id, p.share_probability) for p in share.profiles])),
+    }
+    return files, {
         "n_seeds": len(set(seeds)),
         "n_accounts": len(expanded),
         "mean_share_probability": share.mean_share_probability,
-    })
-
-
-def _cmd_graph_stats(args):
-    corpus = _load_corpus_from_args(args)
-    restriction = _group_members(corpus, args.group) if args.group is not None else None
-    graph, summary, metrics = _graph_stats(corpus, args.kind, restriction)
-    out = _out_dir(args)
-    outputs = {
-        "edges": _write_csv(out / f"{args.kind}_edges.csv", ("source", "target", "weight"),
-                            sorted((s, t, w) for (s, t), w in graph.edges.items())),
-        "degree_histogram": _write_csv(out / f"{args.kind}_degree_histogram.csv",
-                                       DEGREE_COLUMNS, _degree_rows(summary)),
-        "degree_summary": _write_json(out / f"{args.kind}_degree_summary.json",
-                                      {"edge_kind": args.kind, **metrics}),
     }
-    if args.pair_groups:
-        names = [n.strip() for n in args.pair_groups.split(",") if n.strip()]
+
+
+def _graph_stats(corpus, args):
+    restriction = _group_members(corpus, args.group) if args.group is not None else None
+    graph = graphlab.build_graph(corpus, args.kind, node_restriction=restriction)
+    summary = graphlab.degree_stats(graph)
+    metrics = {
+        "mean_in": summary.mean_in, "sd_in": summary.sd_in,
+        "mean_out": summary.mean_out, "sd_out": summary.sd_out,
+        "n_nodes": graph.n_nodes, "n_edges": graph.n_edges,
+        "largest_wcc_size": len(graphlab.largest_wcc(graph)),
+    }
+    files = {
+        "edges": (f"{args.kind}_edges.csv", (("source", "target", "weight"),
+                  sorted((s, t, w) for (s, t), w in graph.edges.items()))),
+        "degree_histogram": (f"{args.kind}_degree_histogram.csv", (
+            DEGREE_COLUMNS, [("in", d, c) for d, c in summary.in_histogram.items()]
+            + [("out", d, c) for d, c in summary.out_histogram.items()])),
+        "degree_summary": (f"{args.kind}_degree_summary.json",
+                           {"edge_kind": args.kind, **metrics}),
+    }
+    if args.pair_groups is not None:
         try:
-            sub = GroupPartition({n: corpus.partition[n] for n in names})
+            groups = GroupPartition({n: corpus.partition[n] for n in args.pair_groups})
         except KeyError as exc:
             raise DataError(f"missing artifact: group {exc.args[0]!r} not in labels") from exc
-        rows = _pair_rows(graph, sub)
-        outputs["pair_rates"] = _write_csv(out / f"{args.kind}_pair_rates.csv",
-                                           PAIR_COLUMNS, rows)
+        matrix = graphlab.pair_rate_matrix(graph, groups)
+        rows = [(src, dst, int(matrix.counts[i, j]), float(matrix.rates[i, j]))
+                for i, src in enumerate(matrix.groups) for j, dst in enumerate(matrix.groups)]
+        files["pair_rates"] = (f"{args.kind}_pair_rates.csv", (PAIR_COLUMNS, rows))
         metrics["pair_rates"] = {f"{src}->{dst}": rate for src, dst, _, rate in rows}
-    return _summary("graph-stats", outputs, metrics)
+    return files, metrics
 
 
-def _cmd_content_stats(args):
-    corpus = _load_corpus_from_args(args)
+def _content_stats(corpus, args):
     group = _group_members(corpus, args.group)
     points = contentstats.group_mix_points(corpus, group)
-    ternary_rows = _ternary_rows(points, args.resolution)
+    grid = contentstats.ternary_bin(points.values(), args.resolution)
     hashtags = contentstats.hashtag_ranking(corpus, group, args.top)
     amplified = contentstats.amplified_accounts(corpus, group, args.top)
-    out = _out_dir(args)
-    outputs = {
-        "ternary_points": _write_csv(
-            out / "ternary_points.csv",
+    files = {
+        "ternary_points": ("ternary_points.csv", (
             ("account_id", "pct_original", "pct_reply", "pct_retweet_quote"),
             [(a, p.pct_original, p.pct_reply, p.pct_retweet_quote)
-             for a, p in points.items()]),
-        "ternary_bins": _write_csv(out / "ternary_bins.csv", TERNARY_COLUMNS, ternary_rows),
-        "hashtags": _write_csv(out / "hashtags.csv", ("rank", "hashtag", "count"),
-                               _rank_rows(hashtags)),
-        "amplified": _write_csv(out / "amplified.csv", ("rank", "account_id", "count"),
-                                _rank_rows(amplified)),
+             for a, p in points.items()])),
+        "ternary_bins": ("ternary_bins.csv", (
+            TERNARY_COLUMNS, [(i, j, k, c) for (i, j, k), c in grid.bins.items()])),
+        "hashtags": ("hashtags.csv", (HASHTAG_COLUMNS, _rank_rows(hashtags))),
+        "amplified": ("amplified.csv", (AMPLIFIED_COLUMNS, _rank_rows(amplified))),
     }
     metrics = {"n_accounts_with_tweets": len(points), "resolution": args.resolution}
     if group:
         profile = dataclasses.asdict(contentstats.profile_summary(corpus, group))
-        outputs["profile_summary"] = _write_json(out / "profile_summary.json", profile)
+        files["profile_summary"] = ("profile_summary.json", profile)
         metrics["follower_mean"] = profile["follower_mean"]
-    return _summary("content-stats", outputs, metrics)
+    return files, metrics
 
 
-def _cmd_score(args):
-    corpus = _load_corpus_from_args(args)
+def _score(corpus, args):
     detector = _make_detector(args)
     rules = _qualification_rules(args)
     group = _group_members(corpus, args.group) if args.group else None
     scores, unscored = detectkit.score_corpus(corpus, detector, rules, group=group)
     kept = detectkit.filter_min_qualified(scores.values(), args.min_qualified)
-    out = _out_dir(args)
-    outputs = {
-        "account_scores": _write_csv(
-            out / "account_scores.csv", ("account_id", "n_qualified", "mean_score"),
-            [(s.account_id, s.n_qualified, s.mean_score) for s in kept]),
+    files = {
+        "account_scores": ("account_scores.csv", (
+            ("account_id", "n_qualified", "mean_score"),
+            [(s.account_id, s.n_qualified, s.mean_score) for s in kept])),
     }
     metrics = {
         "detector": detector.name,
@@ -436,14 +412,13 @@ def _cmd_score(args):
         "n_unscored": unscored,
         "n_after_filter": len(kept),
     }
-    return _summary("score", outputs, metrics)
+    return files, metrics
 
 
-def _cmd_sweep(args):
+def _sweep(_, args):
     scores = _read_scores_csv(_require(args.scores, "--scores"))
     outcome = detectkit.sweep_threshold(scores)
-    out = _out_dir(args)
-    summary_obj = {
+    summary = {
         "best_threshold": outcome.best.threshold,
         "f1": outcome.best.f1,
         "precision": outcome.best.precision,
@@ -451,24 +426,22 @@ def _cmd_sweep(args):
         "welch": None,
     }
     try:
-        summary_obj["welch"] = dataclasses.asdict(
+        summary["welch"] = dataclasses.asdict(
             detectkit.welch_t(*detectkit.split_labeled(scores)))
     except ValueError:
         pass
-    outputs = {
-        "sweep_curve": _write_csv(out / "sweep_curve.csv", SWEEP_COLUMNS, _sweep_rows(outcome)),
-        "summary": _write_json(out / "summary.json", summary_obj),
+    files = {
+        "sweep_curve": ("sweep_curve.csv", (SWEEP_COLUMNS, _sweep_rows(outcome))),
+        "summary": ("summary.json", summary),
     }
-    return _summary("sweep", outputs, summary_obj)
+    return files, summary
 
 
-def _cmd_ttest(args):
+def _ttest(_, args):
     bots, humans = detectkit.split_labeled(_read_scores_csv(_require(args.scores, "--scores")))
     result = detectkit.welch_t(bots, humans)
-    out = _out_dir(args)
     obj = {**dataclasses.asdict(result), "n_bot": len(bots), "n_human": len(humans)}
-    outputs = {"ttest": _write_json(out / "ttest.json", obj)}
-    return _summary("ttest", outputs, obj)
+    return {"ttest": ("ttest.json", obj)}, obj
 
 
 def _typed_like(default, text: str):
@@ -508,7 +481,8 @@ def _read_params_file(path: Path) -> tuple[dict, dict]:
     return fields
 
 
-def _cmd_synth(args):
+def _synth_corpus(args) -> Corpus:
+    """synth's corpus, generated from --params and the flags that override it."""
     bot_fields, human_fields = (_read_params_file(_require(args.params, "--params"))
                                 if args.params else ({}, {}))
     for fields, name, value in ((bot_fields, "rng_seed", args.seed),
@@ -516,105 +490,94 @@ def _cmd_synth(args):
                                 (human_fields, "n_humans", args.n_humans)):
         if value is not None:
             fields[name] = value
-    corpus = synthnet.fox8_preset(bot_fields=bot_fields, human_fields=human_fields)
-    paths = export_corpus(corpus, _out_dir(args))
-    metrics = {
+    args.seed = bot_fields.get("rng_seed", 0)  # the seed it is drawn from, for the summary
+    return synthnet.fox8_preset(bot_fields=bot_fields, human_fields=human_fields)
+
+
+def _synth(corpus, args):
+    return {}, {
         "preset": args.preset,
-        "seed": bot_fields.get("rng_seed", 0),
+        "seed": args.seed,
         "n_accounts": corpus.n_accounts,
         "n_tweets": corpus.n_tweets,
         "n_follow_edges": len(corpus.follow_edges),
     }
-    return _summary("synth", paths, metrics)
 
 
-def _cmd_report(args):
-    corpus = _load_corpus_from_args(args)
-    out = _out_dir(args)
-    bot_group = sorted(corpus.partition.groups.get(args.bot_group, ()))
-    human_group = sorted(corpus.partition.groups.get(args.human_group, ()))
-    named_groups = ((args.bot_group, bot_group), (args.human_group, human_group))
-    outputs: dict[str, Path] = {}
-    metrics: dict = {"bot_group_size": len(bot_group), "human_group_size": len(human_group)}
+def _synth_after_write(args, corpus, out, metrics) -> dict:
+    return {name: str(path) for name, path in export_corpus(corpus, out).items()}
 
-    outputs["fig1_profiles"] = _write_json(out / "fig1_profiles.json", {
-        name: dataclasses.asdict(contentstats.profile_summary(corpus, members))
-        if members else None
-        for name, members in named_groups})
 
-    degree_rows = []
-    for kind in graphlab.EDGE_KINDS if bot_group else ():
-        _, summary, stats = _graph_stats(corpus, kind, bot_group)
-        degree_rows += [(kind, *row) for row in _degree_rows(summary)]
+def _report(corpus, args):
+    """Every figure and table file over one load. Where a file is another
+    stage's file, or one led by an edge_kind/group column, it takes that
+    stage's rows."""
+    bot, human = args.bot_group, args.human_group
+    members = {name: sorted(corpus.partition.groups.get(name, ())) for name in (bot, human)}
+    content = {name: _content_stats(corpus, _with(args, group=name))[0]
+               for name in (bot, human) if members[name]}
+    metrics: dict = {"bot_group_size": len(members[bot]), "human_group_size": len(members[human])}
+    files = {"fig1_profiles": ("fig1_profiles.json", {
+        name: content[name]["profile_summary"][1] if name in content else None
+        for name in (bot, human)})}
+
+    degrees = []
+    for kind in graphlab.EDGE_KINDS if members[bot] else ():
+        graph_files, stats = _graph_stats(corpus, _with(args, kind=kind, group=bot,
+                                                        pair_groups=None))
+        degrees.append((kind, graph_files["degree_histogram"]))
         metrics[f"{kind}_mean_in"] = stats["mean_in"]
         metrics[f"{kind}_largest_wcc"] = stats["largest_wcc_size"]
-    outputs["fig2_degrees"] = _write_csv(
-        out / "fig2_degrees.csv", ("edge_kind", *DEGREE_COLUMNS), degree_rows)
+    files["fig2_degrees"] = ("fig2_degrees.csv", _keyed("edge_kind", DEGREE_COLUMNS, degrees))
 
-    pair_rows = []
-    usable = GroupPartition({name: corpus.partition[name] for name in corpus.partition.names
-                             if len(corpus.partition[name]) >= 2})
-    # Only member-to-member edges count, so the graphs are built over the members.
-    members = sorted(set().union(*usable.groups.values()))
-    for kind in ("reply", "retweet") if usable.groups else ():
-        graph = graphlab.build_graph(corpus, kind, node_restriction=members)
-        pair_rows += [(kind, *row) for row in _pair_rows(graph, usable)]
-    outputs["fig2_pairrates"] = _write_csv(
-        out / "fig2_pairrates.csv", ("edge_kind", *PAIR_COLUMNS), pair_rows)
+    usable = [name for name in corpus.partition.names if len(corpus.partition[name]) >= 2]
+    pairs = [(kind, _graph_stats(corpus, _with(args, kind=kind, group=None,
+                                               pair_groups=usable))[0]["pair_rates"])
+             for kind in (("reply", "retweet") if usable else ())]
+    files["fig2_pairrates"] = ("fig2_pairrates.csv", _keyed("edge_kind", PAIR_COLUMNS, pairs))
+    files["fig3_ternary"] = ("fig3_ternary.csv", _keyed(
+        "group", TERNARY_COLUMNS,
+        [(name, content[name]["ternary_bins"]) for name in (bot, human) if name in content]))
 
-    ternary_rows = []
-    for name, members in named_groups:
-        if members:
-            points = contentstats.group_mix_points(corpus, members)
-            ternary_rows += [(name, *row) for row in _ternary_rows(points, args.resolution)]
-    outputs["fig3_ternary"] = _write_csv(
-        out / "fig3_ternary.csv", ("group", *TERNARY_COLUMNS), ternary_rows)
-
-    hashtags = contentstats.hashtag_ranking(corpus, bot_group, args.top)
-    outputs["fig4_hashtags"] = _write_csv(
-        out / "fig4_hashtags.csv", ("rank", "hashtag", "count"), _rank_rows(hashtags))
-    amplified = contentstats.amplified_accounts(corpus, bot_group, args.top)
-    outputs["fig4_amplified"] = _write_csv(
-        out / "fig4_amplified.csv", ("rank", "account_id", "count"), _rank_rows(amplified))
-
-    domains = linkmap.domain_frequency(corpus, bot_group, args.top)
-    outputs["fig5_domains"] = _write_csv(
-        out / "fig5_domains.csv", ("rank", "domain", "count"), _rank_rows(domains))
-    if bot_group:
-        share = linkmap.domain_share_profiles(corpus, bot_group, linkmap.DEFAULT_SEED_DOMAINS)
+    for name, columns in (("hashtags", HASHTAG_COLUMNS), ("amplified", AMPLIFIED_COLUMNS)):
+        files[f"fig4_{name}"] = (f"fig4_{name}.csv",
+                                 content[bot][name][1] if members[bot] else (columns, []))
+    domains = linkmap.domain_frequency(corpus, members[bot], args.top)
+    files["fig5_domains"] = ("fig5_domains.csv",
+                             (("rank", "domain", "count"), _rank_rows(domains)))
+    if members[bot]:
+        share = linkmap.domain_share_profiles(corpus, members[bot], linkmap.DEFAULT_SEED_DOMAINS)
         metrics["seed_domain_share_mean"] = share.mean_share_probability
 
-    hits = seedscan.find_phrase_tweets(corpus)
-    outputs["table1_categories"] = _write_csv(
-        out / "table1_categories.csv", CATEGORY_COLUMNS, _category_rows(corpus, hits))
-    metrics["n_self_revealing"] = len(hits)
+    phrase_files, phrase_metrics = _scan_phrases(corpus, _with(args, phrases=None, rules=None))
+    files["table1_categories"] = ("table1_categories.csv",
+                                  phrase_files["category_summary"][1])
+    metrics["n_self_revealing"] = phrase_metrics["n_hits"]
 
-    recall_obj = {"threshold": args.recall_threshold, "recall": None,
-                  "n_bot_scores": 0, "scores_file": None}
+    recall = {"threshold": args.recall_threshold, "recall": None,
+              "n_bot_scores": 0, "scores_file": None}
     if args.recall_scores:
         recall_scores = _read_scores_csv(_require(args.recall_scores, "--recall-scores"))
-        recall_obj["recall"] = detectkit.recall_at(recall_scores, args.recall_threshold)
-        recall_obj["n_bot_scores"] = len(detectkit.split_labeled(recall_scores)[0])
-        recall_obj["scores_file"] = str(args.recall_scores)
-    outputs["fig6_recall"] = _write_json(out / "fig6_recall.json", recall_obj)
+        recall["recall"] = detectkit.recall_at(recall_scores, args.recall_threshold)
+        recall["n_bot_scores"] = len(detectkit.split_labeled(recall_scores)[0])
+        recall["scores_file"] = str(args.recall_scores)
+    files["fig6_recall"] = ("fig6_recall.json", recall)
 
     sweep_rows = []
-    if bot_group and human_group:
+    if members[bot] and members[human]:
         detector = _make_detector(args)
         rules = _qualification_rules(args)
         labeled = {}
-        for members, label in ((bot_group, detectkit.BOT_LABEL),
-                               (human_group, detectkit.HUMAN_LABEL)):
-            scores, _ = detectkit.score_corpus(corpus, detector, rules, group=members)
+        for name, label in ((bot, detectkit.BOT_LABEL), (human, detectkit.HUMAN_LABEL)):
+            scores, _ = detectkit.score_corpus(corpus, detector, rules, group=members[name])
             labeled[label] = [(s.mean_score, label) for s in scores.values()]
         if all(labeled.values()):
             outcome = detectkit.sweep_threshold([row for rows in labeled.values() for row in rows])
             sweep_rows = _sweep_rows(outcome)
             metrics["best_threshold"] = outcome.best.threshold
             metrics["best_f1"] = outcome.best.f1
-    outputs["fig8_sweep"] = _write_csv(out / "fig8_sweep.csv", SWEEP_COLUMNS, sweep_rows)
-
-    return _summary("report", outputs, metrics)
+    files["fig8_sweep"] = ("fig8_sweep.csv", (SWEEP_COLUMNS, sweep_rows))
+    return files, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -627,58 +590,56 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print a machine-readable summary on stdout")
     sub = parser.add_subparsers(dest="command", metavar="|".join(SUBCOMMANDS))
 
-    p = _add_corpus_command(sub, "ingest", _cmd_ingest, "load, validate, and summarize a corpus")
+    p = _add_command(sub, "ingest", _ingest, "load, validate, and summarize a corpus",
+                     corpus=True, after_write=_ingest_after_write)
     p.add_argument("--export", action="store_true", help="re-emit the normalized corpus")
     p.add_argument("--strict", action="store_true", help="exit 2 on any violation")
 
-    p = _add_corpus_command(sub, "scan-phrases", _cmd_scan_phrases,
-                            "find and categorize self-revealing tweets")
+    p = _add_command(sub, "scan-phrases", _scan_phrases,
+                     "find and categorize self-revealing tweets", corpus=True)
     p.add_argument("--phrases", help="phrases.txt (one phrase per line)")
     p.add_argument("--rules", help="category_rules.csv (priority,category,trigger)")
 
-    p = _add_corpus_command(sub, "expand-domains", _cmd_expand_domains,
-                            "expand candidate accounts by seed domains")
+    p = _add_command(sub, "expand-domains", _expand_domains,
+                     "expand candidate accounts by seed domains", corpus=True)
     p.add_argument("--seeds", help="seeds.txt (one domain per line)")
     p.add_argument("--top", type=_positive_int, default=10,
                    help="domains to keep in domain_freq.csv")
 
-    p = _add_corpus_command(sub, "graph-stats", _cmd_graph_stats, "interaction-graph metrics")
+    p = _add_command(sub, "graph-stats", _graph_stats, "interaction-graph metrics",
+                     corpus=True)
     p.add_argument("--kind", choices=graphlab.EDGE_KINDS, default="follow")
     p.add_argument("--group", help="restrict both endpoints to this labeled group")
-    p.add_argument("--pair-groups", help="comma-separated group names for pair rates")
+    p.add_argument("--pair-groups", type=_name_list,
+                   help="comma-separated group names for pair rates")
 
-    p = _add_corpus_command(sub, "content-stats", _cmd_content_stats,
-                            "tweet mix, rankings, profile summaries")
+    p = _add_command(sub, "content-stats", _content_stats,
+                     "tweet mix, rankings, profile summaries", corpus=True)
     p.add_argument("--group", help="labeled group (default: every account)")
     p.add_argument("--resolution", type=_positive_int, default=20)
     p.add_argument("--top", type=_positive_int, default=10)
 
-    p = _add_corpus_command(sub, "score", _cmd_score, "run a text detector over accounts")
+    p = _add_command(sub, "score", _score, "run a text detector over accounts", corpus=True)
     p.add_argument("--group", help="labeled group (default: every account)")
     p.add_argument("--min-qualified", type=_positive_int, default=1)
     _add_detector_args(p)
 
-    p = sub.add_parser("sweep", help="F1-maximizing threshold sweep over labeled scores")
-    _add_out_arg(p)
+    p = _add_command(sub, "sweep", _sweep, "F1-maximizing threshold sweep over labeled scores")
     p.add_argument("--scores", required=True, help="CSV with value,label columns")
-    p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("ttest", help="Welch t-test between bot and human scores")
-    _add_out_arg(p)
+    p = _add_command(sub, "ttest", _ttest, "Welch t-test between bot and human scores")
     p.add_argument("--scores", required=True, help="CSV with value,label columns")
-    p.set_defaults(handler=_cmd_ttest)
 
-    p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")
-    _add_out_arg(p)
+    p = _add_command(sub, "synth", _synth, "generate a synthetic benchmark corpus",
+                     load=_synth_corpus, after_write=_synth_after_write)
     p.add_argument("--preset", choices=("fox8",), default="fox8")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n-bots", type=int, default=None)
     p.add_argument("--n-humans", type=int, default=None)
     p.add_argument("--params", help="key=value generator settings file "
                    "(human_* keys address the organic side)")
-    p.set_defaults(handler=_cmd_synth)
 
-    p = _add_corpus_command(sub, "report", _cmd_report, "emit every figure/table data file")
+    p = _add_command(sub, "report", _report, "emit every figure/table data file", corpus=True)
     p.add_argument("--bot-group", default="bot")
     p.add_argument("--human-group", default="human")
     p.add_argument("--resolution", type=_positive_int, default=20)
@@ -694,9 +655,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "handler", None) is None:
+        if getattr(args, "stage", None) is None:
             raise UsageError("a subcommand is required (see --help)")
-        summary = args.handler(args)
+        corpus, out, summary = _run_stage(args)
+        summary["outputs"].update(args.after_write(args, corpus, out, summary["metrics"]))
         line = json.dumps(summary, sort_keys=True, allow_nan=False) if args.json else None
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

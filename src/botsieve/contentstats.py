@@ -41,13 +41,6 @@ def _mix(counts: list[int]) -> TernaryPoint | None:
     )
 
 
-def tweet_mix(corpus: Corpus, account_id: str) -> TernaryPoint | None:
-    """Percentage mix of the account's tweets; None when it has no tweets."""
-    table = corpus.table
-    kinds = table.kind[table.account_mask([account_id])[table.author]]
-    return _mix(np.bincount(kinds, minlength=len(table.kinds)).tolist())
-
-
 def group_mix_points(corpus: Corpus, group) -> dict[str, TernaryPoint]:
     """Mix point per group member, skipping accounts with no tweets."""
     table = corpus.table
@@ -61,6 +54,11 @@ def group_mix_points(corpus: Corpus, group) -> dict[str, TernaryPoint]:
         if point is not None:
             points[account_id] = point
     return points
+
+
+def tweet_mix(corpus: Corpus, account_id: str) -> TernaryPoint | None:
+    """Percentage mix of the account's tweets; None when it has no tweets."""
+    return group_mix_points(corpus, [account_id]).get(account_id)
 
 
 @dataclass(frozen=True)

@@ -325,14 +325,64 @@ def test_report_and_stage_subcommands_write_the_same_rows(capsys, synth_dir, tmp
     run_json(capsys, ["content-stats", *corpus, "--group", "bot", "--out", str(stage)])
     run_json(capsys, ["graph-stats", *corpus, "--kind", "follow", "--group", "bot",
                       "--out", str(stage)])
+    run_json(capsys, ["scan-phrases", *corpus, "--out", str(stage)])
+    run_json(capsys, ["graph-stats", *corpus, "--kind", "reply", "--pair-groups", "bot,human",
+                      "--out", str(stage)])
     profiles = json.loads((report / "fig1_profiles.json").read_text())
     assert profiles["bot"] == json.loads((stage / "profile_summary.json").read_text())
     assert (report / "fig4_hashtags.csv").read_bytes() == (stage / "hashtags.csv").read_bytes()
-    degrees = _csv_rows(report / "fig2_degrees.csv")
-    histogram = _csv_rows(stage / "follow_degree_histogram.csv")
-    assert degrees[0][1:] == histogram[0]
-    assert [row[1:] for row in degrees[1:] if row[0] == "follow"] == histogram[1:]
-    assert len(histogram) > 1
+    assert ((report / "table1_categories.csv").read_bytes()
+            == (stage / "category_summary.csv").read_bytes())
+    # A report file led by an edge_kind/group column holds the stage file's rows.
+    for report_file, key, stage_file in (
+            ("fig2_degrees.csv", "follow", "follow_degree_histogram.csv"),
+            ("fig3_ternary.csv", "bot", "ternary_bins.csv"),
+            ("fig2_pairrates.csv", "reply", "reply_pair_rates.csv")):
+        keyed, rows = _csv_rows(report / report_file), _csv_rows(stage / stage_file)
+        assert keyed[0][1:] == rows[0], report_file
+        assert [row[1:] for row in keyed[1:] if row[0] == key] == rows[1:], report_file
+        assert len(rows) > 1, stage_file
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--detector", "stub", "--recall-scores", "{tmp}/missing.csv"],
+    ["graph-stats", "--kind", "retweet", "--group", "bot", "--pair-groups", "bot,human"],
+])
+def test_data_error_after_the_first_file_writes_nothing(capsys, synth_dir, tmp_path, argv):
+    # Both fail on their last file: every file is computed before any is written.
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(argv + ["--corpus-dir", str(synth_dir), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
+def test_ingest_strict_writes_its_report_then_exits_2(capsys, synth_dir, tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(synth_dir, corpus_dir)
+    author = json.loads((corpus_dir / "tweets.jsonl").read_text().splitlines()[0])["author_id"]
+    with open(corpus_dir / "tweets.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("{not json\n[1, 2]\n")
+        fh.write(json.dumps({"tweet_id": "orphan", "author_id": "no-such-account",
+                             "created_at": "2023-05-01T00:00:00Z", "text": "hi",
+                             "kind": "reply", "in_reply_to_account": author}) + "\n")
+    out = tmp_path / "out"
+    argv = ["ingest", "--corpus-dir", str(corpus_dir), "--out", str(out)]
+    assert run(argv + ["--strict", "--export"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "data error: validation failed: 2 load + 1 invariant violations")
+    summary = json.loads((out / "corpus_summary.json").read_text())
+    assert (summary["n_load_violations"], summary["n_invariant_violations"]) == (2, 1)
+    assert len(_csv_rows(out / "validation_report.csv")) == 1 + 3
+    assert sorted(p.name for p in (out / "corpus").iterdir()) == [
+        "accounts.jsonl", "edges.jsonl", "labels.csv", "tweets.jsonl"]
+
+
+def test_ingest_strict_on_a_clean_corpus_exits_0(capsys, synth_dir, tmp_path):
+    summary = run_json(capsys, ["ingest", "--corpus-dir", str(synth_dir), "--strict",
+                                "--out", str(tmp_path)])
+    assert summary["metrics"]["n_violations"] == 0
+    assert sorted(summary["outputs"]) == ["corpus_summary", "validation_report"]
 
 
 def test_exit_codes(tmp_path, capsys):
