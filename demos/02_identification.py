@@ -20,12 +20,14 @@ corpus = generate_botnet(BotnetParams(n_bots=400, rng_seed=11))
 
 # Step 1: phrase search. The default query is the canonical refusal opener;
 # supply your own PhraseQuery to hunt other boilerplate.
+# The hits also hold their table rows, so their authors and texts are read
+# without looking the tweet ids up again.
 hits = find_phrase_tweets(corpus, PhraseQuery(("as an ai language model",)))
-authors = Counter(corpus.tweets[tid].author_id for tid in hits)
+authors = Counter(corpus.table.values("author_id", hits.rows))
 print(f"self-revealing tweets: {len(hits)} from {len(authors)} accounts")
 
 print("\nrefusal taxonomy:")
-for row in category_summary(hits.keys(), corpus):
+for row in category_summary(corpus.table.values("text", hits.rows)):
     print(f"  {row.category.value:<24} {row.count:>4}  ({row.percentage:.1f}%)")
 
 # Step 2: expansion by shared seed domains. Accounts that never leaked a

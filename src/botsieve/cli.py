@@ -296,23 +296,24 @@ def _scan_phrases(corpus, args):
     ruleset = seedscan.load_ruleset(_require(args.rules, "--rules")) \
         if args.rules else seedscan.DEFAULT_RULESET
     hits = seedscan.find_phrase_tweets(corpus, query)
-    row_of = corpus.table.rows_by_id(hits)
-    rows = [row_of[tid] for tid in hits]
-    hit_rows = list(zip(hits, corpus.table.values("author_id", rows), hits.values()))
+    authors = corpus.table.values("author_id", hits.rows)
+    texts = corpus.table.values("text", hits.rows)
+    category_of = {text: seedscan.categorize_self_revealing(text, ruleset).value
+                   for text in set(texts)}
     category_rows = [(row.category.value, row.count, row.percentage)
-                     for row in seedscan.category_summary(hits.keys(), corpus, ruleset)]
+                     for row in seedscan.category_summary(texts, ruleset)]
     files = {
-        "hits": ("hits.csv", (("tweet_id", "account_id", "phrase"), hit_rows)),
+        "hits": ("hits.csv", (("tweet_id", "account_id", "phrase"),
+                              list(zip(hits, authors, hits.values())))),
         "categories": ("categories.csv", (
             ("tweet_id", "category"),
-            [(tid, seedscan.categorize_self_revealing(text, ruleset).value)
-             for tid, text in zip(hits, corpus.table.values("text", rows))])),
+            [(tid, category_of[text]) for tid, text in zip(hits, texts)])),
         "category_summary": ("category_summary.csv",
                              (("category", "count", "percentage"), category_rows)),
     }
     metrics = {
         "n_hits": len(hits),
-        "n_accounts": len({author for _, author, _ in hit_rows}),
+        "n_accounts": len(set(authors)),
         "categories": {category: count for category, count, _ in category_rows},
     }
     return files, metrics
@@ -359,16 +360,23 @@ def _graph_stats(corpus, args):
                            {"edge_kind": args.kind, **metrics}),
     }
     if args.pair_groups is not None:
-        try:
-            groups = GroupPartition({n: corpus.partition[n] for n in args.pair_groups})
-        except KeyError as exc:
-            raise DataError(f"missing artifact: group {exc.args[0]!r} not in labels") from exc
-        matrix = graphlab.pair_rate_matrix(graph, groups)
-        rows = [(src, dst, int(matrix.counts[i, j]), float(matrix.rates[i, j]))
-                for i, src in enumerate(matrix.groups) for j, dst in enumerate(matrix.groups)]
-        files["pair_rates"] = (f"{args.kind}_pair_rates.csv", (PAIR_COLUMNS, rows))
-        metrics["pair_rates"] = {f"{src}->{dst}": rate for src, dst, _, rate in rows}
+        files["pair_rates"] = _pair_rates(corpus, graph, args.pair_groups)
+        metrics["pair_rates"] = {f"{src}->{dst}": rate
+                                 for src, dst, _, rate in files["pair_rates"][1][1]}
     return files, metrics
+
+
+def _pair_rates(corpus, graph, names) -> tuple:
+    """graph-stats' pair-rate step: the pair_rates.csv file of the graph
+    between the named groups, one row per ordered pair of groups."""
+    try:
+        groups = GroupPartition({n: corpus.partition[n] for n in names})
+    except KeyError as exc:
+        raise DataError(f"missing artifact: group {exc.args[0]!r} not in labels") from exc
+    matrix = graphlab.pair_rate_matrix(graph, groups)
+    rows = [(src, dst, int(matrix.counts[i, j]), float(matrix.rates[i, j]))
+            for i, src in enumerate(matrix.groups) for j, dst in enumerate(matrix.groups)]
+    return (f"{graph.edge_kind}_pair_rates.csv", (PAIR_COLUMNS, rows))
 
 
 def _content_stats(corpus, args):
@@ -531,8 +539,7 @@ def _report(corpus, args):
     files["fig2_degrees"] = ("fig2_degrees.csv", _keyed("edge_kind", DEGREE_COLUMNS, degrees))
 
     usable = [name for name in corpus.partition.names if len(corpus.partition[name]) >= 2]
-    pairs = [(kind, _graph_stats(corpus, _with(args, kind=kind, group=None,
-                                               pair_groups=usable))[0]["pair_rates"])
+    pairs = [(kind, _pair_rates(corpus, graphlab.build_graph(corpus, kind), usable))
              for kind in (("reply", "retweet") if usable else ())]
     files["fig2_pairrates"] = ("fig2_pairrates.csv", _keyed("edge_kind", PAIR_COLUMNS, pairs))
     files["fig3_ternary"] = ("fig3_ternary.csv", _keyed(

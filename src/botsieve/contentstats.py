@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import QUOTE, REPLY, RETWEET, Corpus
+from .table import top_k
 
 
 @dataclass(frozen=True)
@@ -97,31 +98,20 @@ def ternary_bin(points, resolution: int) -> TernaryBinGrid:
 def hashtag_ranking(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
     """Top-k hashtags over all tweet kinds of the group's distinct members,
     ties lexicographic."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    # Few distinct hashtag lists recur over many tweets: count those first.
     table = corpus.table
     members = table.account_mask(set(group))[table.author]
-    counts: Counter[str] = Counter()
-    for tags, n in zip(table.hashtag_lists, np.bincount(
-            table.hashtags[members], minlength=len(table.hashtag_lists)).tolist()):
-        for tag in tags if n else ():
-            counts[tag] += n
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+    return top_k(table.tally("hashtags", members, table.hashtag_lists), k)
 
 
 def amplified_accounts(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
     """Top-k outside accounts the group retweets, quotes, or replies to."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     table = corpus.table
     members = table.account_mask(frozenset(group))
     target = np.where(table.kind == REPLY, table.reply_to, table.referenced)
     keep = (members[table.author] & np.isin(table.kind, (REPLY, RETWEET, QUOTE))
             & (target >= 0) & ~members[target])
     counts = np.bincount(target[keep], minlength=len(table.account_ids)).tolist()
-    ranked = [(account_id, n) for account_id, n in zip(table.account_ids, counts) if n]
-    return sorted(ranked, key=lambda item: (-item[1], item[0]))[:k]
+    return top_k({account_id: n for account_id, n in zip(table.account_ids, counts) if n}, k)
 
 
 @dataclass(frozen=True)

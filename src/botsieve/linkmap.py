@@ -7,7 +7,6 @@ stay distinct. URLs are expected pre-resolved; no unshortening happens here.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 from urllib.parse import urlsplit
@@ -15,6 +14,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .corpus import Corpus, Tweet, _text_lines
+from .table import top_k
 
 DEFAULT_SEED_DOMAINS = ("fox8.news", "cryptnomics.org", "globaleconomics.news")
 
@@ -102,18 +102,9 @@ def expand_by_domains(corpus: Corpus, seeds) -> frozenset[str]:
 def domain_frequency(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:
     """Top-k domains linked by the group's distinct members, tweet-level
     multiplicity, ties lexicographic."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     table = corpus.table
     members = table.account_mask(set(group))[table.author]
-    domains = _domains_in(table, members)
-    counts: Counter[str] = Counter()
-    for code, n in enumerate(np.bincount(table.urls[members],
-                                         minlength=len(table.url_lists)).tolist()):
-        for domain in domains[code] if n else ():
-            counts[domain] += n
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return ranked[:k]
+    return top_k(table.tally("urls", members, _domains_in(table, members)), k)
 
 
 @dataclass(frozen=True)
@@ -160,5 +151,12 @@ def domain_share_profiles(corpus: Corpus, group, targets) -> DomainShareReport:
 
 
 def load_seed_domains(path) -> tuple[str, ...]:
-    """Read seeds.txt: one domain per line, blank lines and #-comments skipped."""
-    return tuple(normalize_domain_name(text) for _, text in _text_lines(path))
+    """Read seeds.txt: one domain per line, blank lines and #-comments skipped;
+    a line that is not a bare domain is an error at path:line."""
+    domains = []
+    for lineno, text in _text_lines(path):
+        try:
+            domains.append(normalize_domain_name(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return tuple(domains)

@@ -9,6 +9,7 @@ taxonomy of refusal categories using an ordered, first-match-wins ruleset.
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,7 +49,15 @@ class PhraseQuery:
         return self._normalized
 
 
-def find_phrase_tweets(corpus: Corpus, query: PhraseQuery | None = None) -> dict[str, str]:
+class PhraseHits(dict):
+    """A tweet_id -> phrase dict that also holds its hits' table rows (``rows``), in order."""
+
+    def __init__(self, items, rows: list[int]):
+        super().__init__(items)
+        self.rows = rows
+
+
+def find_phrase_tweets(corpus: Corpus, query: PhraseQuery | None = None) -> PhraseHits:
     """Map tweet_id -> first matching phrase, for every tweet containing one.
 
     Retweets are searched like any other tweet. Keys come out sorted by
@@ -65,8 +74,8 @@ def find_phrase_tweets(corpus: Corpus, query: PhraseQuery | None = None) -> dict
         phrases[code] = next((raw for raw, needle in zip(query.phrases, query.normalized)
                               if needle in haystack), None)
     matched = np.array([phrase is not None for phrase in phrases], dtype=bool)
-    rows = np.flatnonzero(matched[table.text]).tolist()
-    return dict(sorted((table.ids[row], phrases[table.text[row]]) for row in rows))
+    rows = sorted(np.flatnonzero(matched[table.text]).tolist(), key=table.ids.__getitem__)
+    return PhraseHits(((table.ids[row], phrases[table.text[row]]) for row in rows), rows)
 
 
 class SelfRevealCategory(Enum):
@@ -128,18 +137,14 @@ class CategoryCount:
     percentage: float
 
 
-def category_summary(tweet_ids, corpus: Corpus,
-                     ruleset: CategoryRuleset = DEFAULT_RULESET) -> list[CategoryCount]:
-    """Tally categories over a set of tweet ids; rows in taxonomy order."""
+def category_summary(texts, ruleset: CategoryRuleset = DEFAULT_RULESET) -> list[CategoryCount]:
+    """Tally categories over texts, one per self-revealing tweet, categorizing
+    each distinct text once; rows in taxonomy order."""
     counts = {category: 0 for category in SelfRevealCategory}
-    tweet_ids = sorted(set(tweet_ids))
-    rows = corpus.table.rows_by_id(tweet_ids)
-    for tweet_id in tweet_ids:
-        if tweet_id not in rows:
-            raise KeyError(f"unknown tweet id: {tweet_id}")
-    for text in corpus.table.values("text", [rows[tweet_id] for tweet_id in tweet_ids]):
-        counts[categorize_self_revealing(text, ruleset)] += 1
-    total = len(tweet_ids)
+    tally = Counter(texts)
+    for text, n in tally.items():
+        counts[categorize_self_revealing(text, ruleset)] += n
+    total = tally.total()
     return [
         CategoryCount(category, n, 100.0 * n / total)
         for category, n in counts.items() if n > 0
@@ -147,8 +152,14 @@ def category_summary(tweet_ids, corpus: Corpus,
 
 
 def load_phrases(path) -> PhraseQuery:
-    """Read phrases.txt: one phrase per line, blank lines and #-comments skipped."""
-    return PhraseQuery(tuple(text for _, text in _text_lines(path)))
+    """Read phrases.txt: one phrase per line, blank lines and #-comments skipped;
+    a line that normalizes to nothing is an error at path:line."""
+    phrases = []
+    for lineno, text in _text_lines(path):
+        if not normalize_text(text):
+            raise ValueError(f"{path}:{lineno}: the phrase is empty after normalization")
+        phrases.append(text)
+    return PhraseQuery(tuple(phrases))
 
 
 def load_ruleset(path) -> CategoryRuleset:

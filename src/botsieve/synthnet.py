@@ -141,6 +141,9 @@ class BotnetParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        for name in ("tweet_mix_means", "tweet_mix_sds"):
+            if len(getattr(self, name)) != 3:
+                raise ValueError(f"{name} must have 3 components (original, reply, retweet/quote)")
         if abs(sum(self.tweet_mix_means) - 100.0) > 0.5:
             raise ValueError("tweet_mix_means must sum to 100")
         if self.min_tweets < 1:

@@ -8,6 +8,7 @@ re-exports the public names here. A table is immutable once built; its
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
@@ -141,11 +142,22 @@ class TweetTable:
         mask[[code for code in map(self.account_code.get, account_ids) if code is not None]] = True
         return mask
 
-    def rows_by_id(self, tweet_ids) -> dict:
-        """The row of each of ``tweet_ids`` the table holds, found in one scan
-        of the ids: cheaper than building ``row_of`` for a few ids."""
-        wanted = set(tweet_ids)
-        return {tweet_id: row for row, tweet_id in enumerate(self.ids) if tweet_id in wanted}
+    def tally(self, column: str, rows, elements) -> Counter:
+        """Per element, how many times the given rows (a mask or index) hold it
+        in their lists of the list-code column ``column``; ``elements`` maps
+        each list code the rows use to the elements of its list."""
+        tally: Counter = Counter()
+        for code, n in enumerate(np.bincount(getattr(self, column)[rows]).tolist()):
+            for element in elements[code] if n else ():
+                tally[element] += n
+        return tally
+
+
+def top_k(counts: Mapping, k: int) -> list[tuple]:
+    """The k (key, count) items of ``counts`` with the largest counts, ties by key."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 
 class _Own:

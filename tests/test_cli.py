@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botsieve import synthnet
+from botsieve import detectkit, synthnet
 from botsieve.cli import DataError, _read_params_file, run
 from botsieve.corpus import Account, FollowEdge, Tweet, export_corpus
 from conftest import account, corpus_of, tweet
@@ -170,6 +170,54 @@ def test_score_with_stub_detector(capsys, synth_dir, tmp_path):
     assert summary["metrics"]["n_scored"] > 0
     header = (out / "account_scores.csv").read_text().splitlines()[0]
     assert header == "account_id,n_qualified,mean_score"
+
+
+@pytest.fixture(scope="module")
+def options_dir(tmp_path_factory):
+    """Four accounts in groups named sock and real. Account a has one tweet
+    that each qualification option lets in or rewrites."""
+    out = tmp_path_factory.mktemp("options")
+    tweets = [tweet("t1", "a", text="plain words here"),
+              tweet("t2", "a", kind="retweet", ref="c", text="RT @c: shared words"),
+              tweet("t3", "a", text="des mots", language="fr"),
+              tweet("t4", "a", kind="reply", reply_to="c", text="@c handled words"),
+              tweet("t5", "a", text="linked words https://example.com/p"),
+              *(tweet(f"t{n}", n, text=f"words of {n}") for n in "bcd")]
+    export_corpus(corpus_of([account(n) for n in "abcd"], tweets,
+                            groups={"sock": {"a", "b"}, "real": {"c", "d"}}), out)
+    return out
+
+
+@pytest.mark.parametrize("options,texts", [
+    ([], ["plain words here", "handled words", "linked words"]),
+    (["--include-retweets"],
+     ["plain words here", "RT @c: shared words", "handled words", "linked words"]),
+    (["--any-language"], ["plain words here", "des mots", "handled words", "linked words"]),
+    (["--keep-handles"], ["plain words here", "@c handled words", "linked words"]),
+    (["--keep-links"],
+     ["plain words here", "handled words", "linked words https://example.com/p"]),
+    (["--stub-key", "k"], ["plain words here", "handled words", "linked words"]),
+])
+def test_score_options_change_what_is_scored(options_dir, tmp_path, options, texts):
+    out = tmp_path / "out"
+    assert run(["score", "--corpus-dir", str(options_dir), "--detector", "stub", *options,
+                "--out", str(out)]) == 0
+    rows = {row[0]: row[1:] for row in _csv_rows(out / "account_scores.csv")[1:]}
+    detector = detectkit.StubDetector(key="k" if "--stub-key" in options else "")
+    n_qualified, mean_score = rows["a"]
+    assert int(n_qualified) == len(texts)
+    assert float(mean_score) == pytest.approx(sum(map(detector.score, texts)) / len(texts))
+
+
+def test_report_group_options_name_the_groups(capsys, options_dir, tmp_path):
+    out = tmp_path / "out"
+    summary = run_json(capsys, ["report", "--corpus-dir", str(options_dir), "--detector",
+                                "stub", "--bot-group", "sock", "--human-group", "real",
+                                "--out", str(out)])
+    assert summary["metrics"]["bot_group_size"] == 2
+    assert summary["metrics"]["human_group_size"] == 2
+    assert sorted(json.loads((out / "fig1_profiles.json").read_text())) == ["real", "sock"]
+    assert len(_csv_rows(out / "fig8_sweep.csv")) > 1
 
 
 def test_sweep_two_point_fixture(capsys, tmp_path):
@@ -491,6 +539,17 @@ def test_fuzzed_corpus_lines_exit_0_1_or_2(tiny_dir, name, lines):
             assert code in (0, 1, 2), (command, lines)
 
 
+@pytest.mark.parametrize("line", ["tweet_mix_means = 100", "tweet_mix_means = 50, 50",
+                                  "tweet_mix_sds = 1, 2"])
+def test_tweet_mix_without_three_components_makes_synth_exit_2(capsys, tmp_path, line):
+    params = tmp_path / "gen.conf"
+    params.write_text(f"n_bots = 6\nn_humans = 3\nfollow_degree_mean = 2\n{line}\n")
+    out = tmp_path / "o"
+    assert run(["synth", "--params", str(params), "--out", str(out)]) == 2
+    assert f"{line.split()[0]} must have 3 components" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shared_group_label_makes_synth_exit_2_and_write_nothing(capsys, tmp_path):
     params = tmp_path / "gen.conf"
     params.write_text("n_bots = 6\nn_humans = 3\nfollow_degree_mean = 2\ngroup_label = human\n")
@@ -539,7 +598,9 @@ def _aux_argv(tiny_dir, name, path, out):
     ("rules.csv", b"2,no_such_category,cannot browse"),
     ("rules.csv", b"2,beyond_capability,cannot \xff browse"),
     ("phrases.txt", b"as an \xff ai"),
+    ("phrases.txt", "\u200b".encode()),
     ("seeds.txt", b"fox8\xff.news"),
+    ("seeds.txt", b"https://x.com/a"),
     ("scores.csv", b"51,bot\xff"),
     ("replay.jsonl", b"[1]"),
     ("replay.jsonl", b'"ab"'),

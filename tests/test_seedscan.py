@@ -124,9 +124,10 @@ def test_repeated_texts_match_a_per_tweet_scan():
     tweets = [tweet(f"t{i:02d}", f"a{i % 3}", kind="retweet" if i % 5 == 0 else "original",
                     ref="x" if i % 5 == 0 else None, text=variants[i % len(variants)])
               for i in range(30)]
-    corpus = corpus_of([account(f"a{i}") for i in range(3)], tweets)
+    corpus = corpus_of([account(f"a{i}") for i in range(3)], tweets[::-1])
     hits = ss.find_phrase_tweets(corpus, query)
     assert list(hits.items()) == list(per_tweet_scan(corpus, query).items())
+    assert corpus.table.values("tweet_id", hits.rows) == list(hits)
     assert {hits[f"t{i:02d}"] for i in range(3)} == {"As an AI language model"}
     assert hits["t03"] == "cannot browse"
     assert "t04" not in hits and "t05" not in hits
@@ -191,28 +192,28 @@ def test_ruleset_rejects_other_and_empty_triggers():
         ss.CategoryRuleset(((ss.SelfRevealCategory.HARMFUL_CONTENT, ()),))
 
 
-def test_category_summary_single_category():
-    corpus = corpus_with_texts([TABLE_TEXTS[ss.SelfRevealCategory.HARMFUL_CONTENT]] * 4)
-    rows = ss.category_summary({"t0", "t1", "t2", "t3"}, corpus)
+def test_category_summary_single_category(monkeypatch):
+    calls = []
+    categorize = ss.categorize_self_revealing
+    monkeypatch.setattr(ss, "categorize_self_revealing",
+                        lambda text, ruleset: calls.append(text) or categorize(text, ruleset))
+    rows = ss.category_summary([TABLE_TEXTS[ss.SelfRevealCategory.HARMFUL_CONTENT]] * 4)
     assert len(rows) == 1
     assert rows[0].category is ss.SelfRevealCategory.HARMFUL_CONTENT
     assert rows[0].count == 4
     assert rows[0].percentage == pytest.approx(100.0)
+    assert len(calls) == 1
 
 
 def test_category_summary_all_five():
-    corpus = corpus_with_texts([TABLE_TEXTS[c] for c in ss.SelfRevealCategory])
-    rows = ss.category_summary({f"t{i}" for i in range(5)}, corpus)
+    rows = ss.category_summary([TABLE_TEXTS[c] for c in ss.SelfRevealCategory])
     assert [r.category for r in rows] == list(ss.SelfRevealCategory)
     assert all(r.count == 1 for r in rows)
     assert sum(r.percentage for r in rows) == pytest.approx(100.0)
 
 
-def test_category_summary_empty_and_unknown():
-    corpus = corpus_with_texts(["x"])
-    assert ss.category_summary(set(), corpus) == []
-    with pytest.raises(KeyError, match="t99"):
-        ss.category_summary({"t99"}, corpus)
+def test_category_summary_empty():
+    assert ss.category_summary([]) == []
 
 
 def test_load_phrases_and_ruleset(tmp_path):

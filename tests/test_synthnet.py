@@ -208,7 +208,7 @@ def test_self_revealing_tweets_injected_and_categorized():
     hits = seedscan.find_phrase_tweets(corpus)
     total = corpus.n_tweets
     assert 0.002 * total < len(hits) < 0.02 * total
-    rows = seedscan.category_summary(hits.keys(), corpus)
+    rows = seedscan.category_summary(corpus.table.values("text", hits.rows))
     assert rows[0].category is seedscan.SelfRevealCategory.HARMFUL_CONTENT
     assert rows[0].count == max(r.count for r in rows)
 
