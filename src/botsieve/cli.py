@@ -222,11 +222,19 @@ def _read_scores_csv(path: Path) -> list[tuple[float, str]]:
     return scores
 
 
+DETECTOR_OPTIONS = {"stub_key": ("stub",), "scale": ("stub", "replay"), "replay_file": ("replay",)}
+
+
 def _make_detector(args) -> detectkit.TextDetector:
+    """The --detector; an option that detector does not read is a usage error."""
+    for option, readers in DETECTOR_OPTIONS.items():
+        if getattr(args, option) is not None and args.detector not in readers:
+            raise UsageError(f"--{option.replace('_', '-')} does not apply to "
+                             f"--detector {args.detector}")
     scale = (detectkit.PROBABILITY_SCALE if args.scale == "probability"
              else detectkit.OPENAI_STYLE_SCALE)
     if args.detector == "stub":
-        return detectkit.StubDetector(key=args.stub_key, score_scale=scale)
+        return detectkit.StubDetector(key=args.stub_key or "", score_scale=scale)
     if args.detector == "replay":
         path = _require(args.replay_file, "--replay-file")
         return detectkit.ReplayDetector.from_file(path, score_scale=scale)
@@ -246,8 +254,9 @@ def _add_detector_args(parser):
     parser.add_argument("--detector", choices=("heuristic", "stub", "replay"),
                         default="heuristic")
     parser.add_argument("--replay-file", help="replay_scores.jsonl for --detector replay")
-    parser.add_argument("--stub-key", default="", help="key for --detector stub")
-    parser.add_argument("--scale", choices=("openai", "probability"), default="openai")
+    parser.add_argument("--stub-key", help="key for --detector stub")
+    parser.add_argument("--scale", choices=("openai", "probability"),
+                        help="score scale for --detector stub or replay (default: openai)")
     parser.add_argument("--include-retweets", action="store_true")
     parser.add_argument("--any-language", action="store_true")
     parser.add_argument("--keep-handles", action="store_true")
@@ -350,9 +359,10 @@ def _graph_stats(corpus, args):
         "n_nodes": graph.n_nodes, "n_edges": graph.n_edges,
         "largest_wcc_size": len(graphlab.largest_wcc(graph)),
     }
+    view = graph.coded
     files = {
-        "edges": (f"{args.kind}_edges.csv", (("source", "target", "weight"),
-                  sorted((s, t, w) for (s, t), w in graph.edges.items()))),
+        "edges": (f"{args.kind}_edges.csv", (("source", "target", "weight"), list(
+            zip(view.nodes[view.source], view.nodes[view.target], view.weight.tolist())))),
         "degree_histogram": (f"{args.kind}_degree_histogram.csv", (
             DEGREE_COLUMNS, [("in", d, c) for d, c in summary.in_histogram.items()]
             + [("out", d, c) for d, c in summary.out_histogram.items()])),
@@ -520,6 +530,7 @@ def _report(corpus, args):
     """Every figure and table file over one load. Where a file is another
     stage's file, or one led by an edge_kind/group column, it takes that
     stage's rows."""
+    detector = _make_detector(args)
     bot, human = args.bot_group, args.human_group
     members = {name: sorted(corpus.partition.groups.get(name, ())) for name in (bot, human)}
     content = {name: _content_stats(corpus, _with(args, group=name))[0]
@@ -572,7 +583,6 @@ def _report(corpus, args):
 
     sweep_rows = []
     if members[bot] and members[human]:
-        detector = _make_detector(args)
         rules = _qualification_rules(args)
         labeled = {}
         for name, label in ((bot, detectkit.BOT_LABEL), (human, detectkit.HUMAN_LABEL)):

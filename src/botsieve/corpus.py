@@ -745,9 +745,8 @@ def validate(corpus: Corpus) -> ValidationReport:
                        for rule, mask in checks.items() if mask[row]
                        for detail in details.get(rule, [""])]
 
-    for edge in sorted(corpus.follow_edges, key=lambda e: (e.source, e.target)):
-        if edge.source == edge.target:
-            violations.append(Violation("self-follow", identifier=edge.source))
+    self_follows = [edge.source for edge in corpus.follow_edges if edge.source == edge.target]
+    violations += [Violation("self-follow", identifier=source) for source in sorted(self_follows)]
 
     seen: dict[str, str] = {}
     for name, members in corpus.partition.groups.items():

@@ -3,14 +3,17 @@
 Builds directed follow/reply/retweet graphs over account identifiers and
 computes the numbers that expose engineered coordination: degree summaries,
 the largest weakly connected component, and within/cross-group pair
-interaction rates.
+interaction rates. Each metric reads one coded view of the graph's edges,
+positions in its sorted node list, and is a few array operations with no
+Python loop over the edges.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,9 +22,21 @@ from .corpus import REPLY, RETWEET, Corpus, GroupPartition
 EDGE_KINDS = ("follow", "reply", "retweet")
 
 
+class CodedEdges(NamedTuple):
+    """Edges as positions in ``nodes``, the sorted node identifiers (an object
+    array), in (source, target) order; -1 marks an endpoint outside ``nodes``."""
+
+    nodes: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    weight: np.ndarray
+
+
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Directed graph for one interaction kind; edge weights count repeats."""
+    """Directed graph for one interaction kind; edge weights count repeats.
+    ``coded`` is built from ``nodes`` and ``edges`` on first use, so treat them
+    as read-only. Its edges within ``nodes`` come in (source, target) identifier order."""
 
     edge_kind: str
     nodes: frozenset[str]
@@ -34,6 +49,16 @@ class InteractionGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def coded(self) -> CodedEdges:
+        nodes = np.fromiter(sorted(self.nodes), dtype=object, count=len(self.nodes))
+        position = dict(zip(nodes, range(len(nodes))))
+        ends = np.fromiter(map(position.get, chain.from_iterable(self.edges), repeat(-1)),
+                           dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2)
+        weight = np.fromiter(self.edges.values(), dtype=np.int64, count=len(self.edges))
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        return CodedEdges(nodes, ends[order, 0], ends[order, 1], weight[order])
 
 
 def build_graph(corpus: Corpus, edge_kind: str,
@@ -73,10 +98,8 @@ def build_graph(corpus: Corpus, edge_kind: str,
         edges = {(ids[pair // n], ids[pair % n]): weight
                  for pair, weight in zip(pairs.tolist(), weights.tolist())}
 
-    if restriction is not None:
-        nodes = restriction
-    else:
-        nodes = frozenset(corpus.accounts).union(chain.from_iterable(edges))
+    nodes = (restriction if restriction is not None
+             else frozenset(corpus.accounts).union(chain.from_iterable(edges)))
     return InteractionGraph(edge_kind=edge_kind, nodes=nodes, edges=edges)
 
 
@@ -98,24 +121,18 @@ def degree_stats(graph: InteractionGraph) -> DegreeSummary:
     """
     if not graph.nodes:
         return DegreeSummary(0.0, 0.0, 0.0, 0.0, {}, {})
-    in_deg = dict.fromkeys(graph.nodes, 0)
-    out_deg = dict.fromkeys(graph.nodes, 0)
-    for (source, target) in graph.edges:
-        if source in out_deg:
-            out_deg[source] += 1
-        if target in in_deg:
-            in_deg[target] += 1
-    order = sorted(graph.nodes)
-    ins = np.array([in_deg[n] for n in order], dtype=float)
-    outs = np.array([out_deg[n] for n in order], dtype=float)
+    view = graph.coded
+    # Position -1 (outside the node set) lands in bin 0, which is dropped.
+    ins, outs = (np.bincount(ends + 1, minlength=len(view.nodes) + 1)[1:]
+                 for ends in (view.target, view.source))
     return DegreeSummary(
-        mean_in=float(ins.mean()),
-        sd_in=float(ins.std()),
-        mean_out=float(outs.mean()),
-        sd_out=float(outs.std()),
-        in_histogram=dict(sorted(Counter(in_deg.values()).items())),
-        out_histogram=dict(sorted(Counter(out_deg.values()).items())),
-    )
+        mean_in=float(ins.mean()), sd_in=float(ins.std()),
+        mean_out=float(outs.mean()), sd_out=float(outs.std()),
+        in_histogram=_histogram(ins), out_histogram=_histogram(outs))
+
+
+def _histogram(degrees: np.ndarray) -> dict[int, int]:
+    return {degree: n for degree, n in enumerate(np.bincount(degrees).tolist()) if n}
 
 
 def largest_wcc(graph: InteractionGraph) -> frozenset[str]:
@@ -123,31 +140,20 @@ def largest_wcc(graph: InteractionGraph) -> frozenset[str]:
     containing the smallest identifier."""
     if not graph.nodes:
         return frozenset()
-    neighbors: dict[str, set[str]] = {node: set() for node in graph.nodes}
-    for (source, target) in graph.edges:
-        if source in neighbors and target in neighbors:
-            neighbors[source].add(target)
-            neighbors[target].add(source)
-    seen: set[str] = set()
-    best: frozenset[str] = frozenset()
-    # Starts are visited in sorted order, so each component is first reached
-    # via its smallest member; keeping strictly-larger components therefore
-    # resolves size ties toward the smallest-member component.
-    for start in sorted(graph.nodes):
-        if start in seen:
-            continue
-        component = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in neighbors[node]:
-                if neighbor not in component:
-                    component.add(neighbor)
-                    frontier.append(neighbor)
-        seen.update(component)
-        if len(component) > len(best):
-            best = frozenset(component)
-    return best
+    view = graph.coded
+    inside = (view.source >= 0) & (view.target >= 0)
+    a, b = view.source[inside], view.target[inside]
+    # Union-find on arrays: each round hooks the larger of every edge's two
+    # roots under the smaller, then jumps pointers until every label is a root.
+    # A component's root is then its smallest position, that is its smallest
+    # identifier, so the first maximum of the sizes keeps the tie rule.
+    label = np.arange(len(view.nodes))
+    while not np.array_equal(label[a], label[b]):
+        np.minimum.at(label, np.maximum(label[a], label[b]), np.minimum(label[a], label[b]))
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+    return frozenset(view.nodes[label == np.bincount(label).argmax()])
 
 
 @dataclass(frozen=True)
@@ -160,9 +166,8 @@ class PairRateMatrix:
     counts: np.ndarray
 
     def rate(self, source_group: str, target_group: str) -> float:
-        i = self.groups.index(source_group)
-        j = self.groups.index(target_group)
-        return float(self.rates[i, j])
+        return float(self.rates[self.groups.index(source_group),
+                                self.groups.index(target_group)])
 
 
 def pair_rate_matrix(graph: InteractionGraph, partition: GroupPartition) -> PairRateMatrix:
@@ -174,7 +179,11 @@ def pair_rate_matrix(graph: InteractionGraph, partition: GroupPartition) -> Pair
     names = partition.names
     if not names:
         raise ValueError("partition has no groups")
-    membership: dict[str, int] = {}
+    view = graph.coded
+    # Group index per node position; k is no group, and the last slot is
+    # read by position -1. A member of two groups counts in the later one.
+    k = len(names)
+    group = np.full(len(view.nodes) + 1, k)
     sizes = []
     for index, name in enumerate(names):
         members = partition[name]
@@ -182,25 +191,15 @@ def pair_rate_matrix(graph: InteractionGraph, partition: GroupPartition) -> Pair
             raise ValueError(f"group {name!r} is empty")
         missing = members - graph.nodes
         if missing:
-            raise ValueError(
-                f"group {name!r} has members outside the graph, e.g. {sorted(missing)[0]!r}"
-            )
+            raise ValueError(f"group {name!r} has members outside the graph, "
+                             f"e.g. {sorted(missing)[0]!r}")
         if len(members) < 2:
             raise ValueError(f"group {name!r} has fewer than 2 members; within-rate undefined")
         sizes.append(len(members))
-        for member in members:
-            membership[member] = index
+        group[np.searchsorted(view.nodes, np.fromiter(members, object, len(members)))] = index
 
-    k = len(names)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for (source, target) in graph.edges:
-        i = membership.get(source)
-        j = membership.get(target)
-        if i is not None and j is not None:
-            counts[i, j] += 1
-
-    denominators = np.empty((k, k), dtype=float)
-    for i in range(k):
-        for j in range(k):
-            denominators[i, j] = sizes[i] * (sizes[i] - 1) if i == j else sizes[i] * sizes[j]
-    return PairRateMatrix(groups=names, rates=counts / denominators, counts=counts)
+    cells = group[view.source] * (k + 1) + group[view.target]
+    counts = np.bincount(cells, minlength=(k + 1) ** 2).reshape(k + 1, k + 1)[:k, :k]
+    sizes = np.array(sizes)
+    return PairRateMatrix(groups=names, rates=counts / (np.outer(sizes, sizes) - np.diag(sizes)),
+                          counts=counts)

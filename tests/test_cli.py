@@ -220,6 +220,27 @@ def test_report_group_options_name_the_groups(capsys, options_dir, tmp_path):
     assert len(_csv_rows(out / "fig8_sweep.csv")) > 1
 
 
+@pytest.mark.parametrize("command", ["score", "report"])
+@pytest.mark.parametrize("detector,option", [
+    ("heuristic", ["--stub-key", "zzz"]),
+    ("heuristic", ["--scale", "probability"]),
+    ("heuristic", ["--replay-file", "{replay}"]),
+    ("stub", ["--replay-file", "{replay}"]),
+    ("replay", ["--stub-key", "zzz"]),
+])
+def test_detector_option_the_detector_does_not_read_is_a_usage_error(
+        capsys, options_dir, tmp_path, command, detector, option):
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text('{"text_digest": "ab", "score": 1.5}\n')
+    needs_file = ["--replay-file", str(replay)] if detector == "replay" else []
+    out = tmp_path / "out"
+    argv = [command, "--corpus-dir", str(options_dir), "--detector", detector, *needs_file,
+            *(part.format(replay=replay) for part in option), "--out", str(out)]
+    assert run(argv) == 1
+    assert f"{option[0]} does not apply to --detector {detector}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_two_point_fixture(capsys, tmp_path):
     scores = tmp_path / "scores.csv"
     scores.write_text("value,label\n60,bot\n58,bot\n55,human\n40,human\n")
@@ -568,6 +589,23 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_graph_stats_and_report_load_no_scipy_module(tiny_dir, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    corpus = ["--corpus-dir", str(tiny_dir)]
+    runs = [["graph-stats", *corpus, "--kind", "reply", "--pair-groups", "bot,human",
+             "--out", str(tmp_path / "graph")],
+            ["report", *corpus, "--out", str(tmp_path / "report")]]
+    code = ("import sys; from botsieve.cli import run\n"
+            f"codes = [run(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0] []"
 
 
 AUX_FILES = {

@@ -240,3 +240,15 @@ def test_pair_rate_small_group_errors():
     with pytest.raises(ValueError, match="outside the graph"):
         gl.pair_rate_matrix(
             graph, GroupPartition({"X": frozenset({"A", "Z"})}))
+
+
+def test_largest_wcc_on_a_long_shuffled_path():
+    # A 20,000-node path whose hops run in shuffled identifier order, so any
+    # method that spreads labels one hop per round needs 20,000 rounds; next
+    # to it a 3-node component that holds the smallest identifier.
+    rng = np.random.default_rng(11)
+    path = [f"p{i:05d}" for i in rng.permutation(20_000)]
+    edges = {(s, t): 1 for s, t in zip(path, path[1:])}
+    edges.update({("a", "b"): 1, ("c", "b"): 2})
+    graph = gl.InteractionGraph("follow", frozenset(path) | {"a", "b", "c"}, edges)
+    assert gl.largest_wcc(graph) == frozenset(path)

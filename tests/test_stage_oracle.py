@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botsieve import contentstats as cs
@@ -478,3 +478,45 @@ def test_stages_match_the_frozen_reference(corpus, group, k):
         ref_scores, ref_unscored = ref_score_corpus(corpus, detector, group=members)
         assert list(scores.items()) == list(ref_scores.items())
         assert unscored == ref_unscored
+
+
+# Hand-built graphs: nodes drawn from POOL, edge ends from POOL and OUTSIDE, so
+# an edge may leave the node set; weights above 1; groups that may be empty,
+# have one member, reach outside the graph or overlap.
+GRAPH_END = st.sampled_from(POOL + OUTSIDE)
+
+
+@st.composite
+def hand_graphs(draw):
+    nodes = draw(st.frozensets(st.sampled_from(POOL)))
+    edges = draw(st.dictionaries(st.tuples(GRAPH_END, GRAPH_END), st.integers(1, 5),
+                                 max_size=15))
+    groups = draw(st.dictionaries(st.sampled_from(["g", "h", "i"]),
+                                  st.frozensets(GRAPH_END, max_size=4), max_size=3))
+    return gl.InteractionGraph("reply", nodes, edges), GroupPartition(groups)
+
+
+def hand_graph(nodes, edges, groups):
+    return (gl.InteractionGraph("reply", frozenset(nodes), edges),
+            GroupPartition({name: frozenset(members) for name, members in groups.items()}))
+
+
+@given(case=hand_graphs())
+@example(case=hand_graph((), {}, {}))
+@example(case=hand_graph((), {}, {"g": ()}))
+@example(case=hand_graph(POOL[:4], {("a0", "a1"): 3, ("a1", "x0"): 2, ("x1", "a2"): 1,
+                                    ("a2", "a3"): 4, ("a3", "a0"): 1},
+                         {"g": POOL[:3], "h": POOL[2:4]}))
+@example(case=hand_graph(POOL[:3], {("a0", "a1"): 2}, {"g": POOL[:2], "h": ["a2"]}))
+@example(case=hand_graph(POOL[:3], {("a0", "a1"): 2}, {"g": POOL[:2], "h": ["a2", "x0"]}))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_hand_built_graphs_match_the_frozen_reference(case):
+    graph, partition = case
+    ref = RefInteractionGraph(graph.edge_kind, graph.nodes, graph.edges)
+    summary, ref_summary = gl.degree_stats(graph), ref_degree_stats(ref)
+    assert summary == ref_summary
+    assert list(summary.in_histogram.items()) == list(ref_summary.in_histogram.items())
+    assert list(summary.out_histogram.items()) == list(ref_summary.out_histogram.items())
+    assert gl.largest_wcc(graph) == ref_largest_wcc(ref)
+    assert same_pair_rates(outcome(gl.pair_rate_matrix, graph, partition),
+                           outcome(ref_pair_rate_matrix, ref, partition))
