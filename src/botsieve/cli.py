@@ -7,7 +7,8 @@ writes nothing (``ingest --strict`` writes its report, then exits 2). With
 schemas/cli_summary.schema.json. Re-running a subcommand with identical
 inputs overwrites outputs byte-identically.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error (a path the system
+refuses included, such as an --out that is a file), 3 internal error.
 """
 
 from __future__ import annotations
@@ -680,7 +681,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ValueError, LookupError) as exc:
+    except (DataError, ValueError, LookupError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SystemExit:

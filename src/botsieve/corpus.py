@@ -2,10 +2,12 @@
 
 A corpus is four files (accounts.jsonl, tweets.jsonl, edges.jsonl,
 labels.csv) loaded into an immutable in-memory ``Corpus``, whose tweets are
-one columnar ``TweetTable``. Loading is tolerant: lines that decode but fail
-the record schema are dropped and reported; lines that do not decode at all
-are fatal once they exceed 10% of a file. Duplicate identifiers are always
-fatal. Everything downstream treats the corpus as read-only.
+one columnar ``TweetTable``, coded row by row as the lines are parsed.
+Loading is tolerant: lines that decode but fail the record schema are
+dropped and reported; lines that do not decode at all (not UTF-8, not one
+JSON object, or holding a lone surrogate) are fatal once they exceed 10% of
+a file. Duplicate identifiers are always fatal. Everything downstream treats
+the corpus as read-only.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import csv
 import gc
 import json
-import struct
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -25,9 +26,8 @@ from pathlib import Path
 import numpy as np
 
 # The tweet record, its kind codes and its table are public here too.
-from .table import (_CODED, _DTYPES, _EPOCH, _MICROSECOND, _TWEET_FIELDS, KINDS, ORIGINAL,
-                    QUOTE, REPLY, RETWEET, VALID_KINDS, Tweet, TweetRows, TweetTable,
-                    _instant_us, _join, _new_table, _table, _value_codes)
+from .table import (_CODED, _EPOCH, _MICROSECOND, KINDS, ORIGINAL, QUOTE, REPLY, RETWEET,
+                    VALID_KINDS, Tweet, TweetRows, TweetTable, _join, _row_coder)
 
 ACCOUNTS_FILE = "accounts.jsonl"
 TWEETS_FILE = "tweets.jsonl"
@@ -205,7 +205,8 @@ class Corpus:
     """Immutable snapshot of one corpus. Treat every field as read-only.
 
     Accounts are slotted ``Account`` records keyed by id. The tweets live only
-    in ``table``, one columnar ``TweetTable``. ``tweets`` (a read-only
+    in ``table``, one columnar ``TweetTable`` (built by ``table``'s one row
+    coder, or by mapping codes for merge and cap). ``tweets`` (a read-only
     ``tweet_id -> Tweet`` Mapping), ``tweets_of`` and ``tweets_by_author`` are
     views that build ``Tweet`` rows from it on each access; the analysis
     stages read the columns. Within one ``load_corpus`` call, equal
@@ -285,10 +286,8 @@ def make_corpus(accounts, tweets, edges=(), partition=None, load_report=None,
         account_index[acct.account_id] = acct
     table = tweets
     if not isinstance(tweets, TweetTable):
-        tweets = list(tweets)
-        values = {name: map(attrgetter(name), tweets) for name in _TWEET_FIELDS}
-        values["created_at"] = map(_instant_us, values["created_at"])
-        table = _table(values)
+        coder = _row_coder()
+        table = coder.finish(list(map(coder.tweet, tweets)))
     # A dict of the ids takes less memory than a set of them.
     if len(dict.fromkeys(table.ids)) != len(table):
         seen = set()
@@ -375,34 +374,19 @@ def _parse_account(obj, share) -> Account:
                    tweet_count, description)
 
 
-# One packed row of the code columns, as the loader writes it.
-_ROW = struct.Struct("=" + "".join({np.int8: "b", np.int32: "i", np.int64: "q"}[dtype]
-                                   for dtype in _DTYPES.values()))
-
-
 def _tweet_loader(account_ids):
     """(parse, finish) for one tweets.jsonl.
 
     ``parse(obj, share)`` reads one tweet object with the checks of the other
-    parsers, appends its codes to the columns and returns its tweet id; a
-    line it rejects appends nothing. ``finish(ids)`` makes the TweetTable of
-    the parsed rows. ``account_ids`` are coded first, so the id table shares
-    their strings. Each distinct raw hashtag list is normalized once.
+    parsers, adds its row to a ``_row_coder`` and returns its tweet id; a line
+    it rejects adds nothing. ``finish(ids)`` makes the TweetTable of the parsed
+    rows. ``account_ids`` are coded first, so the id table shares their
+    strings. Each distinct raw hashtag list is normalized once.
     """
-    account_code: dict = {}
-    for account_id in account_ids:
-        account_code.setdefault(account_id, len(account_code))
-    # Every value here is a str or a tuple of str: it is its own key.
-    codes = _value_codes()
-    kinds, texts, languages = codes["kinds"], codes["texts"], codes["languages"]
-    hashtag_lists, url_lists = codes["hashtag_lists"], codes["url_lists"]
+    coder = _row_coder(account_ids)
+    # Memos, raw list -> list code: the coder's own for URL lists, which are coded as read.
     raw_hashtags: dict = {}
-    # One packed _ROW per tweet: a single call per row instead of one append
-    # per column.
-    packed = bytearray()
-    add_row = packed.extend
-    pack_row = _ROW.pack
-    account = account_code.setdefault
+    add, url_codes = coder.add, coder.codes["url_lists"]
 
     def hashtags_code(raw_tags):
         hashtags = []
@@ -412,15 +396,13 @@ def _tweet_loader(account_ids):
             tag = normalize_hashtag(tag)
             if tag:
                 hashtags.append(tag)
-        found = raw_hashtags[tuple(raw_tags)] = hashtag_lists.setdefault(
-            tuple(hashtags), len(hashtag_lists))
-        return found
+        return raw_hashtags.setdefault(tuple(raw_tags), coder.hashtags(tuple(hashtags)))
 
     def urls_code(raw_urls):
         for url in raw_urls:
             if type(url) is not str:
                 raise _not_a_string(url, "entities")
-        return url_lists.setdefault(tuple(raw_urls), len(url_lists))
+        return coder.urls(tuple(raw_urls))
 
     def parse(obj, share):
         get = obj.get
@@ -465,7 +447,7 @@ def _tweet_loader(account_ids):
         urls = 0
         if raw_urls:
             try:
-                urls = url_lists[tuple(raw_urls)]
+                urls = url_codes[tuple(raw_urls)]
             except (KeyError, TypeError):
                 urls = urls_code(raw_urls)
         language = get("language")
@@ -477,22 +459,11 @@ def _tweet_loader(account_ids):
         if ((type(raw_tags) is not list and raw_tags not in (None, ""))
                 or (type(raw_urls) is not list and raw_urls not in (None, ""))):
             raise _RecordError("bad-field:entities", "hashtags/urls must be lists")
-        add_row(pack_row(
-            account(author_id, len(account_code)),
-            account(reply_to, len(account_code)) if reply_to else -1,
-            account(referenced, len(account_code)) if referenced else -1,
-            kinds[kind], created_us, texts.setdefault(text, len(texts)), hashtags, urls,
-            languages.setdefault(language, len(languages)) if language else 0))
+        add(author_id, reply_to or None, referenced or None, kind, created_us, text, hashtags,
+            urls, language or None)
         return tweet_id
 
-    def finish(ids) -> TweetTable:
-        rows = np.frombuffer(packed, dtype=np.dtype(list(_DTYPES.items())))
-        columns = {name: rows[name].copy() for name in _DTYPES}
-        del rows
-        packed.clear()
-        return _new_table(ids, account_code, codes, **columns)
-
-    return parse, finish
+    return parse, coder.finish
 
 
 def _parse_edge(obj, share) -> FollowEdge:
@@ -549,9 +520,12 @@ def _load_jsonl_records(path: Path, parse, aliases, violations, share):
         if text is not None:
             try:
                 obj, end = _decode(text)
+                if "\\" in text:
+                    # A lone surrogate ("\ud800") decodes, but no output could hold it.
+                    _encode_json(obj).encode("utf-8")
             except (ValueError, RecursionError):
                 # Besides bad JSON: integers past the digit limit, deep nesting.
-                pass
+                obj = None
             else:
                 if end != len(text):
                     obj = None

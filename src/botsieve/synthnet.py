@@ -24,7 +24,7 @@ from .corpus import (Account, Corpus, FollowEdge, GroupPartition, _gc_paused, ma
                      merge_corpora)
 from .linkmap import DEFAULT_SEED_DOMAINS
 from .seedscan import SelfRevealCategory
-from .table import _instant_us, _table
+from .table import _instant_us, _row_coder
 
 # The five canonical self-revealing refusal texts with their observed
 # frequency weights; the generator slot-fills variations of these.
@@ -227,17 +227,13 @@ def _assemble(ids, years, created_on, descriptions, followers, following, kind_c
     and ``seconds``. ``content(t, u, kind, nth)`` gives account u's nth tweet
     of its kind as (text, urls, hashtags, target, language); the target
     becomes the reply or reference target by kind, and a retweet's text gets
-    the ``RT @<target>: `` prefix. The numeric inputs are numpy arrays. The
-    tweets go straight into columns: no per-tweet record is built.
+    the ``RT @<target>: `` prefix. The numeric inputs are numpy arrays. Each
+    tweet is coded into the table as it is generated: no per-tweet record
+    is built.
     """
-    accounts = []
-    # Each column is allocated once at its full length.
-    total = int(kind_counts.sum())
-    columns = {name: [None] * total for name in ("tweet_id", "author_id", "text", "kind",
-                                                 "in_reply_to_account", "referenced_account",
-                                                 "hashtags", "urls", "language")}
-    (tweet_ids, authors, texts, kinds, reply_tos, referenceds, hashtag_lists, url_lists,
-     languages) = columns.values()
+    accounts, tweet_ids = [], []
+    coder = _row_coder()
+    start = _instant_us(_EPOCH + timedelta(seconds=seconds))
     t = 0
     for u, (account_id, year, n_followers, n_following, counts, n_quote) in enumerate(zip(
             ids, years.tolist(), followers.tolist(), following.tolist(), kind_counts.tolist(),
@@ -257,22 +253,14 @@ def _assemble(ids, years, created_on, descriptions, followers, following, kind_c
                 text, urls, hashtags, target, language = content(t, u, kind, nth)
                 if kind == "retweet":
                     text = f"RT @{target}: {text}"
-                tweet_ids[t] = f"{account_id}-t{local:05d}"
-                authors[t] = account_id
-                texts[t] = text
-                kinds[t] = kind
-                if kind == "reply":
-                    reply_tos[t] = target
-                elif kind != "original":
-                    referenceds[t] = target
-                hashtag_lists[t] = hashtags
-                url_lists[t] = urls
-                languages[t] = language
+                tweet_ids.append(f"{account_id}-t{local:05d}")
+                coder.add(account_id, target if kind == "reply" else None,
+                          None if kind in ("original", "reply") else target, kind,
+                          start + t * 60_000_000, text, coder.hashtags(hashtags),
+                          coder.urls(urls), language)
                 t += 1
                 local += 1
-    start = _instant_us(_EPOCH + timedelta(seconds=seconds))
-    columns["created_at"] = start + np.arange(total, dtype=np.int64) * 60_000_000
-    return accounts, _table(columns)
+    return accounts, coder.finish(tweet_ids)
 
 
 def generate_botnet(params: BotnetParams = BotnetParams()) -> Corpus:

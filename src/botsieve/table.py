@@ -1,19 +1,22 @@
 """The tweets of a corpus in memory: the ``Tweet`` record and the columnar
 ``TweetTable`` that holds every tweet as numpy code columns.
 
-``corpus`` builds tables as it loads, makes, merges and caps corpora, and
-re-exports the public names here. A table is immutable once built; its
-``Tweet`` rows are built on access.
+One row coder, ``_row_coder``, builds every table from rows: the lines
+``corpus`` loads, the ``Tweet`` records of ``make_corpus`` and the tweets
+``synthnet`` generates. ``_join`` maps the codes of existing tables for merge
+and cap. ``corpus`` re-exports the public names here. A table is immutable
+once built; its ``Tweet`` rows are built on access.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -171,13 +174,16 @@ class _Own:
         self.value = value
 
 
+def _key(value):
+    """``value`` as a code dict keys it: itself when it is None, a str or a
+    tuple of str, else an ``_Own`` of it."""
+    own = type(value) is tuple and all(type(v) is str for v in value)
+    return value if own or value is None or type(value) is str else _Own(value)
+
+
 def _code(codes: dict, value) -> int:
-    """The code of ``value`` in ``codes``, which maps each distinct value (or
-    its ``_Own`` key) to its code in first-seen order; a new value is added."""
-    if not (value is None or type(value) is str
-            or (type(value) is tuple and all(type(v) is str for v in value))):
-        value = _Own(value)
-    return codes.setdefault(value, len(codes))
+    """The code of ``value`` in ``codes``; a new value gets the next code."""
+    return codes.setdefault(_key(value), len(codes))
 
 
 def _value_codes() -> dict[str, dict]:
@@ -200,23 +206,51 @@ def _new_table(ids, account_code, codes, **columns) -> TweetTable:
                       **lists, **columns)
 
 
-def _table(values: dict) -> TweetTable:
-    """A TweetTable of the rows given as, per ``Tweet`` field, an iterable of
-    one value per row (``created_at`` as UTC microseconds)."""
-    ids = list(values["tweet_id"])
-    account_code: dict = {}
+def _row_coder(account_ids=()) -> SimpleNamespace:
+    """The builder of one TweetTable, row by row; ``account_ids`` get the first codes.
+
+    - ``add(author, reply_to, referenced, kind, created_us, text, hashtags, urls,
+      language)`` codes one row: each value is its own key (see ``_key``), a
+      None target is -1 and a None language 0;
+    - ``hashtags(tags)`` and ``urls(urls)`` give the list codes ``add`` takes;
+    - ``tweet(record)`` adds a ``Tweet`` and returns its tweet id;
+    - ``finish(ids)`` makes the table. ``codes`` holds the value code dicts.
+    """
+    account_code = {account_id: code for code, account_id in enumerate(dict.fromkeys(account_ids))}
     codes = _value_codes()
-    columns = {"created_us": np.fromiter(values["created_at"], dtype=np.int64, count=len(ids))}
-    for name, (column, listing) in _CODED.items():
-        if listing == "account_ids":
-            # Every author gets a code, None included; a missing target is -1.
-            coded = (-1 if value is None and column != "author"
-                     else account_code.setdefault(value, len(account_code))
-                     for value in values[name])
-        else:
-            coded = map(_code, repeat(codes[listing]), values[name])
-        columns[column] = np.fromiter(coded, dtype=_DTYPES[column], count=len(ids))
-    return _new_table(ids, account_code, codes, **columns)
+    kinds, texts, hashtag_lists, url_lists, languages = codes.values()
+    # Each row's codes are packed in _DTYPES order: one call per row, not one per column.
+    pack_row = struct.Struct("=" + "".join({np.int8: "b", np.int32: "i", np.int64: "q"}[dtype]
+                                           for dtype in _DTYPES.values())).pack
+    packed = bytearray()
+    add_row, account = packed.extend, account_code.setdefault
+
+    def add(author, reply_to, referenced, kind, created_us, text, hashtags, urls, language):
+        add_row(pack_row(
+            account(author, len(account_code)),
+            -1 if reply_to is None else account(reply_to, len(account_code)),
+            -1 if referenced is None else account(referenced, len(account_code)),
+            kinds.setdefault(kind, len(kinds)), created_us, texts.setdefault(text, len(texts)),
+            hashtags, urls,
+            0 if language is None else languages.setdefault(language, len(languages))))
+
+    def tweet(record: Tweet):
+        add(record.author_id, record.in_reply_to_account, record.referenced_account,
+            _key(record.kind), _instant_us(record.created_at), _key(record.text),
+            _code(hashtag_lists, record.hashtags), _code(url_lists, record.urls),
+            _key(record.language))
+        return record.tweet_id
+
+    def finish(ids) -> TweetTable:
+        row = np.dtype(list(_DTYPES.items()))
+        columns = {name: np.frombuffer(packed, dtype=row)[name].copy() for name in _DTYPES}
+        packed.clear()
+        return _new_table(ids, account_code, codes, **columns)
+
+    return SimpleNamespace(
+        add=add, tweet=tweet, finish=finish, codes=codes,
+        hashtags=lambda tags: hashtag_lists.setdefault(tags, len(hashtag_lists)),
+        urls=lambda urls: url_lists.setdefault(urls, len(url_lists)))
 
 
 def _join(parts) -> TweetTable:

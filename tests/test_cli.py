@@ -523,8 +523,10 @@ CORPUS_COMMANDS = ("ingest", "scan-phrases", "expand-domains", "graph-stats",
                    "content-stats", "score", "report")
 RECORD_FIELDS = sorted({f.name for cls in (Account, Tweet, FollowEdge)
                         for f in dataclasses.fields(cls)})
+# Text may hold lone surrogates, which json.dumps writes as \udXXX escapes.
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(blacklist_categories=()), max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=6)
@@ -555,9 +557,32 @@ def test_fuzzed_corpus_lines_exit_0_1_or_2(tiny_dir, name, lines):
         with open(corpus_dir / name, "ab") as fh:
             fh.write(b"".join(line + b"\n" for line in lines))
         for command in CORPUS_COMMANDS:
-            code = run(["--json", command, "--corpus-dir", str(corpus_dir),
-                        "--out", str(Path(tmp) / "out")])
+            out = Path(tmp) / f"out-{command}"
+            code = run(["--json", command, "--corpus-dir", str(corpus_dir), "--out", str(out)])
             assert code in (0, 1, 2), (command, lines)
+            # A usage or data error writes nothing.
+            assert code == 0 or not out.exists(), (command, lines)
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
+                                  "output-name-is-a-directory", "aliases-is-a-directory"])
+def test_path_the_system_refuses_is_a_data_error(capsys, tmp_path, tiny_dir, case):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("value,label\n50,bot\n51,bot\n40,human\n41,human\n")
+    out = tmp_path / "out"
+    argv = ["ttest", "--scores", str(scores), "--out", str(out)]
+    if case == "out-is-a-file":
+        out.write_text("")
+    elif case == "out-under-a-file":
+        out.write_text("")
+        argv[-1] = str(out / "sub")
+    elif case == "output-name-is-a-directory":
+        (out / "ttest.json").mkdir(parents=True)
+    else:
+        argv = ["ingest", "--corpus-dir", str(tiny_dir), "--aliases", str(tmp_path),
+                "--out", str(out)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 @pytest.mark.parametrize("line", ["tweet_mix_means = 100", "tweet_mix_means = 50, 50",

@@ -396,6 +396,27 @@ def test_merge_corpora_keeps_load_reports(tmp_path):
     assert merged.line_numbers == {}
 
 
+def test_every_table_builder_codes_each_value_once(tmp_path):
+    # The per-distinct-value stages cost what they do only if no value list
+    # holds a value twice.
+    bots = sn.fox8_preset(seed=2, n_bots=30, n_humans=0)
+    preset = sn.fox8_preset(seed=2, n_bots=30, n_humans=20)
+    paths = cp.export_corpus(preset, tmp_path)
+    loaded = cp.load_corpus(paths["accounts"], paths["tweets"], paths["edges"], paths["labels"])
+    tables = {
+        "synth": bots.table,
+        "merge": preset.table,
+        "records": cp.make_corpus(preset.accounts.values(), preset.tweets.values()).table,
+        "load": loaded.table,
+        "cap": cp.cap_tweets(preset, 3).table,
+    }
+    for builder, table in tables.items():
+        assert table == preset.table or builder in ("synth", "cap"), builder
+        for name in ("account_ids", "texts", "hashtag_lists", "url_lists", "languages", "kinds"):
+            values = getattr(table, name)
+            assert len(set(values)) == len(values), (builder, name)
+
+
 def test_loaded_records_are_slotted_and_frozen(tmp_path):
     paths = write_corpus_files(tmp_path)
     corpus = cp.load_corpus(paths["accounts"], paths["tweets"], paths["edges"])
@@ -615,7 +636,8 @@ TWEET_JSON = json.dumps({**TWEET_LINES[0], "tweet_id": "x-planted"})
     "\ufeff" + TWEET_JSON,
     json.dumps([TWEET_LINES[0]]),
     json.dumps("tweet"),
-], ids=["extra-object", "trailing-garbage", "bom", "array", "string"])
+    TWEET_JSON.replace("x-planted", "x\\ud800"),
+], ids=["extra-object", "trailing-garbage", "bom", "array", "string", "lone-surrogate"])
 def test_line_that_is_not_one_json_object_is_invalid_json(tmp_path, line):
     paths = write_corpus_files(tmp_path)
     lines = [json.dumps({**TWEET_LINES[0], "tweet_id": f"x{i}"}) for i in range(19)]
@@ -625,6 +647,16 @@ def test_line_that_is_not_one_json_object_is_invalid_json(tmp_path, line):
     corpus = cp.load_corpus(paths["accounts"], tweet_path)
     assert corpus.n_tweets == 19
     assert [(v.rule, v.line) for v in corpus.load_report] == [("invalid-json", 6)]
+
+
+def test_escaped_surrogate_pair_loads_as_its_character(tmp_path):
+    paths = write_corpus_files(tmp_path)
+    tweet_path = tmp_path / "pair.jsonl"
+    tweet_path.write_text(TWEET_JSON.replace("x-planted", "x\\ud83d\\ude00") + "\n",
+                          encoding="utf-8")
+    corpus = cp.load_corpus(paths["accounts"], tweet_path)
+    assert corpus.load_report.empty
+    assert list(corpus.tweets) == ["x\U0001f600"]
 
 
 @pytest.mark.parametrize("pad", ["\x0c", "\xa0", " \t\x0c\xa0\u3000"])
