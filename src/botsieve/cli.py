@@ -7,8 +7,8 @@ writes nothing (``ingest --strict`` writes its report, then exits 2). With
 schemas/cli_summary.schema.json. Re-running a subcommand with identical
 inputs overwrites outputs byte-identically.
 
-Exit codes: 0 success, 1 usage error, 2 data error (a path the system
-refuses included, such as an --out that is a file), 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 data error (an --out that cannot be made
+or an output name taken by a directory included), 3 internal error.
 """
 
 from __future__ import annotations
@@ -67,7 +67,13 @@ def _write_files(out: Path, files: dict) -> None:
     # Every JSON text is serialized first, so a non-finite value leaves no file behind.
     texts = {name: json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
              for name, (_, content) in files.items() if isinstance(content, dict)}
-    out.mkdir(parents=True, exist_ok=True)
+    taken = [file_name for file_name, _ in files.values() if (out / file_name).is_dir()]
+    if taken:
+        raise DataError(f"output file name taken by a directory: {out / taken[0]}")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. an --out that is a file or lies under one
+        raise DataError(exc) from exc
     for name, (file_name, content) in files.items():
         with open(out / file_name, "w", encoding="utf-8", newline="") as fh:
             if name in texts:
@@ -188,8 +194,10 @@ def _load_corpus_from_args(args) -> Corpus:
     label_path = _optional(args.labels, base / LABELS_FILE if base else None)
     aliases = None
     if args.aliases:
-        with open(_require(args.aliases, "aliases file"), "r", encoding="utf-8") as fh:
-            aliases = json.load(fh)
+        try:
+            aliases = json.loads(_require(args.aliases, "aliases file").read_text("utf-8"))
+        except OSError as exc:
+            raise DataError(f"cannot read aliases file: {exc}") from exc
     corpus = load_corpus(account_path, tweet_path, edge_path, label_path,
                          field_aliases=aliases)
     if args.tweet_cap is not None:
@@ -681,7 +689,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, ValueError, LookupError, OSError) as exc:
+    except (DataError, ValueError, LookupError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SystemExit:

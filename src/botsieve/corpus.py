@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -40,6 +41,10 @@ MALFORMED_FATAL_FRACTION = 0.10
 
 # One decoder for every line; see _load_jsonl_records.
 _decode = json.JSONDecoder().raw_decode
+# Every escape of a line that decodes, from its start. Group 1 is empty but for a
+# surrogate escape outside a high-low pair: a lone surrogate no output can hold.
+_escapes = re.compile(r"\\u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+                      r"|\\(u[dD][89a-fA-F])|\\.").findall
 _fromisoformat = datetime.fromisoformat
 
 # The encoder json.dumps(value, ensure_ascii=False, sort_keys=True) would build
@@ -184,9 +189,6 @@ class ValidationReport:
 
     def __iter__(self):
         return iter(self.violations)
-
-    def __bool__(self) -> bool:
-        return bool(self.violations)
 
     @property
     def empty(self) -> bool:
@@ -520,14 +522,13 @@ def _load_jsonl_records(path: Path, parse, aliases, violations, share):
         if text is not None:
             try:
                 obj, end = _decode(text)
-                if "\\" in text:
-                    # A lone surrogate ("\ud800") decodes, but no output could hold it.
-                    _encode_json(obj).encode("utf-8")
             except (ValueError, RecursionError):
                 # Besides bad JSON: integers past the digit limit, deep nesting.
                 obj = None
             else:
-                if end != len(text):
+                # Only a \ud or \uD escape can decode to a surrogate; "\\" is the cheap test.
+                if end != len(text) or "\\" in text and (
+                        "\\ud" in text or "\\uD" in text) and any(_escapes(text)):
                     obj = None
         if type(obj) is not dict:
             malformed += 1
@@ -644,28 +645,20 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
         tweet_ids, tweet_lines = _load_jsonl_records(
             tweet_path, parse_tweet, aliases.get("tweets", {}), violations, share)
 
-        edges: list[FollowEdge] = []
+        edges: set[FollowEdge] = set()
         if edge_path is not None:
             edge_path = Path(edge_path)
-            seen_pairs = set()
             edge_records, edge_lines = _load_jsonl_records(
                 edge_path, _parse_edge, aliases.get("edges", {}), violations, share)
             for edge, lineno in zip(edge_records, edge_lines):
                 if edge.source == edge.target:
-                    violations.append(
-                        Violation("self-follow", file=edge_path.name, line=lineno,
-                                  identifier=edge.source)
-                    )
-                    continue
-                pair = (edge.source, edge.target)
-                if pair in seen_pairs:
-                    violations.append(
-                        Violation("duplicate-edge", file=edge_path.name, line=lineno,
-                                  identifier=f"{edge.source}->{edge.target}")
-                    )
-                    continue
-                seen_pairs.add(pair)
-                edges.append(edge)
+                    violations.append(Violation("self-follow", file=edge_path.name,
+                                                line=lineno, identifier=edge.source))
+                elif edge in edges:
+                    violations.append(Violation("duplicate-edge", file=edge_path.name, line=lineno,
+                                                identifier=f"{edge.source}->{edge.target}"))
+                else:
+                    edges.add(edge)
 
         known = {a.account_id for a in accounts}
         partition = GroupPartition()

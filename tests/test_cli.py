@@ -577,12 +577,16 @@ def test_path_the_system_refuses_is_a_data_error(capsys, tmp_path, tiny_dir, cas
         out.write_text("")
         argv[-1] = str(out / "sub")
     elif case == "output-name-is-a-directory":
-        (out / "ttest.json").mkdir(parents=True)
+        # categories.csv comes after hits.csv, which must not be written either.
+        (out / "categories.csv").mkdir(parents=True)
+        argv = ["scan-phrases", "--corpus-dir", str(tiny_dir), "--out", str(out)]
     else:
         argv = ["ingest", "--corpus-dir", str(tiny_dir), "--aliases", str(tmp_path),
                 "--out", str(out)]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("data error: ")
+    if out.is_dir():
+        assert [p for p in out.rglob("*") if not p.is_dir()] == []
 
 
 @pytest.mark.parametrize("line", ["tweet_mix_means = 100", "tweet_mix_means = 50, 50",

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -657,6 +658,36 @@ def test_escaped_surrogate_pair_loads_as_its_character(tmp_path):
     corpus = cp.load_corpus(paths["accounts"], tweet_path)
     assert corpus.load_report.empty
     assert list(corpus.tweets) == ["x\U0001f600"]
+
+
+# Pieces that make every kind of escape json.dumps writes: lone and paired
+# surrogates, an astral character (a pair), a backslash, and a backslash
+# before text that reads like a surrogate escape.
+ESCAPE_PRONE_TEXT = st.lists(st.sampled_from(
+    ["\ud800", "\udbff", "\udc00", "\udfff", "\U0001f600", "\\", "\\ud800", "\\uDC00",
+     "d", "8", '"', "\xe9", "\n", "a"]), max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=ESCAPE_PRONE_TEXT, value=ESCAPE_PRONE_TEXT, upper=st.booleans())
+@example(key="", value="\ud83d\ude00", upper=True)
+@example(key="", value="\\\ud800", upper=False)
+def test_line_is_invalid_json_exactly_when_it_decodes_to_a_lone_surrogate(key, value, upper):
+    line = json.dumps({key: [value, "x"]})
+    if upper:  # JSON allows upper-case hex digits in an escape
+        line = re.sub(r"\\u([0-9a-f]{4})", lambda m: "\\u" + m.group(1).upper(), line)
+    try:
+        json.dumps(json.loads(line), ensure_ascii=False).encode("utf-8")
+        lone = False
+    except UnicodeEncodeError:
+        lone = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.jsonl"
+        path.write_text("{}\n" * 10 + line + "\n", encoding="ascii")
+        violations = []
+        records, _ = cp._load_jsonl_records(path, lambda obj, share: obj, {}, violations, None)
+    assert [(v.rule, v.line) for v in violations] == ([("invalid-json", 11)] if lone else [])
+    assert len(records) == (10 if lone else 11)
 
 
 @pytest.mark.parametrize("pad", ["\x0c", "\xa0", " \t\x0c\xa0\u3000"])
