@@ -57,22 +57,29 @@ def _run_stage(args):
     corpus = args.load(args) if args.load is not None else None
     files, metrics = args.stage(corpus, args)
     out = Path(args.out or os.environ.get(OUTPUT_DIR_ENV, "botsieve_out"))
-    _write_files(out, files)
+    _write_files(out, files, args.export_to(args, out))
     outputs = {name: str(out / file_name) for name, (file_name, _) in files.items()}
     return corpus, out, {"command": args.command, "status": "ok",
                          "outputs": outputs, "metrics": metrics}
 
 
-def _write_files(out: Path, files: dict) -> None:
+def _write_files(out: Path, files: dict, export: Path | None) -> None:
+    """Write the stage's files into --out. Their paths, and those of the corpus
+    the stage exports into ``export`` after them, are checked first."""
     # Every JSON text is serialized first, so a non-finite value leaves no file behind.
     texts = {name: json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
              for name, (_, content) in files.items() if isinstance(content, dict)}
-    taken = [file_name for file_name, _ in files.values() if (out / file_name).is_dir()]
+    paths = [out / file_name for file_name, _ in files.values()]
+    if export is not None:
+        paths += [export / name for name in (ACCOUNTS_FILE, TWEETS_FILE, EDGES_FILE, LABELS_FILE)]
+    taken = [path for path in paths if path.is_dir()]
     if taken:
-        raise DataError(f"output file name taken by a directory: {out / taken[0]}")
+        raise DataError(f"output file name taken by a directory: {taken[0]}")
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # e.g. an --out that is a file or lies under one
+        if export is not None:
+            export.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. an --out or export directory that is a file or lies under one
         raise DataError(exc) from exc
     for name, (file_name, content) in files.items():
         with open(out / file_name, "w", encoding="utf-8", newline="") as fh:
@@ -160,7 +167,8 @@ def _add_command(sub, name: str, stage, help: str, corpus: bool = False, **defau
     parser.add_argument("--out", default=None,
                         help=f"output directory (default: ${OUTPUT_DIR_ENV} or ./botsieve_out)")
     parser.set_defaults(**{"stage": stage, "load": _load_corpus_from_args if corpus else None,
-                           "after_write": lambda *_: {}, **defaults})
+                           "after_write": lambda *_: {}, "export_to": lambda *_: None,
+                           **defaults})
     return parser
 
 
@@ -300,7 +308,7 @@ def _ingest(corpus, args):
 
 def _ingest_after_write(args, corpus, out, metrics) -> dict:
     """ingest's own step once its report is written: --export, then --strict."""
-    exported = export_corpus(corpus, out / "corpus") if args.export else {}
+    exported = export_corpus(corpus, args.export_to(args, out)) if args.export else {}
     n_load = len(corpus.load_report)
     if args.strict and metrics["n_violations"]:
         raise DataError(f"validation failed: {n_load} load + "
@@ -532,7 +540,8 @@ def _synth(corpus, args):
 
 
 def _synth_after_write(args, corpus, out, metrics) -> dict:
-    return {name: str(path) for name, path in export_corpus(corpus, out).items()}
+    return {name: str(path) for name, path in
+            export_corpus(corpus, args.export_to(args, out)).items()}
 
 
 def _report(corpus, args):
@@ -617,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="|".join(SUBCOMMANDS))
 
     p = _add_command(sub, "ingest", _ingest, "load, validate, and summarize a corpus",
-                     corpus=True, after_write=_ingest_after_write)
+                     corpus=True, after_write=_ingest_after_write,
+                     export_to=lambda args, out: out / "corpus" if args.export else None)
     p.add_argument("--export", action="store_true", help="re-emit the normalized corpus")
     p.add_argument("--strict", action="store_true", help="exit 2 on any violation")
 
@@ -657,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="CSV with value,label columns")
 
     p = _add_command(sub, "synth", _synth, "generate a synthetic benchmark corpus",
-                     load=_synth_corpus, after_write=_synth_after_write)
+                     load=_synth_corpus, after_write=_synth_after_write,
+                     export_to=lambda args, out: out)
     p.add_argument("--preset", choices=("fox8",), default="fox8")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n-bots", type=int, default=None)

@@ -8,6 +8,13 @@ dropped and reported; lines that do not decode at all (not UTF-8, not one
 JSON object, or holding a lone surrogate) are fatal once they exceed 10% of
 a file. Duplicate identifiers are always fatal. Everything downstream treats
 the corpus as read-only.
+
+A tweets.jsonl is split at line boundaries into one byte range per usable
+core, so no more processes than cores; forked workers read all ranges but the
+first, and their rows are folded into one row coder in range order, so the
+corpus is the one a sequential load gives. One usable core, no fork, a file
+that is not regular or one below _SPLIT_MIN_BYTES keep the load in one
+process. wait4 then reports the largest peak RSS among it and its workers.
 """
 
 from __future__ import annotations
@@ -15,14 +22,17 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import os
 import re
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
@@ -37,9 +47,11 @@ LABELS_FILE = "labels.csv"
 
 # Fraction of undecodable lines (per file) above which loading aborts.
 MALFORMED_FATAL_FRACTION = 0.10
+# A smaller tweets.jsonl loads in one process; see _range_starts.
+_SPLIT_MIN_BYTES = 48 << 20
 
 
-# One decoder for every line; see _load_jsonl_records.
+# One decoder for every line; see _read_jsonl.
 _decode = json.JSONDecoder().raw_decode
 # Every escape of a line that decodes, from its start. Group 1 is empty but for a
 # surrogate escape outside a high-low pair: a lone surrogate no output can hold.
@@ -377,13 +389,13 @@ def _parse_account(obj, share) -> Account:
 
 
 def _tweet_loader(account_ids):
-    """(parse, finish) for one tweets.jsonl.
+    """(parse, coder) for one tweets.jsonl.
 
     ``parse(obj, share)`` reads one tweet object with the checks of the other
-    parsers, adds its row to a ``_row_coder`` and returns its tweet id; a line
-    it rejects adds nothing. ``finish(ids)`` makes the TweetTable of the parsed
-    rows. ``account_ids`` are coded first, so the id table shares their
-    strings. Each distinct raw hashtag list is normalized once.
+    parsers, adds its row to ``coder``, a ``_row_coder``, and returns its tweet
+    id; a line it rejects adds nothing. ``coder.finish(ids)`` makes the
+    TweetTable of the parsed rows. ``account_ids`` are coded first, so the id
+    table shares their strings. Each distinct raw hashtag list is normalized once.
     """
     coder = _row_coder(account_ids)
     # Memos, raw list -> list code: the coder's own for URL lists, which are coded as read.
@@ -429,7 +441,16 @@ def _tweet_loader(account_ids):
                      else _identifier(author_id, "author_id"))
         if not author_id:
             raise _RecordError("missing-field:author_id")
-        created_us = (_as_instant(get("created_at"), "created_at") - _EPOCH) // _MICROSECOND
+        created_at = get("created_at")
+        created_us = None
+        if type(created_at) is str and created_at[-1:] == "Z":
+            # A UTC string as parse_instant reads it, without its two calls.
+            try:
+                created_us = (_fromisoformat(created_at) - _EPOCH) // _MICROSECOND
+            except (TypeError, ValueError):
+                pass
+        if created_us is None:
+            created_us = (_as_instant(created_at, "created_at") - _EPOCH) // _MICROSECOND
         reply_to = get("in_reply_to_account")
         reply_to = (reply_to.strip() if type(reply_to) is str
                     else _identifier(reply_to, "in_reply_to_account"))
@@ -465,7 +486,7 @@ def _tweet_loader(account_ids):
             urls, language or None)
         return tweet_id
 
-    return parse, coder.finish
+    return parse, coder
 
 
 def _parse_edge(obj, share) -> FollowEdge:
@@ -481,15 +502,19 @@ def _parse_edge(obj, share) -> FollowEdge:
     return FollowEdge(share(source, source), share(target, target))
 
 
-def _iter_lines(path: Path):
+def _iter_lines(path: Path, start: int = 0, n_lines: int | None = None):
     """Yield (line_number, stripped_text_or_None) for each non-blank physical
-    line; None marks a line that is not UTF-8."""
+    line; None marks a line that is not UTF-8. ``start`` and ``n_lines`` read
+    only the ``n_lines`` lines (all if None) from byte ``start``, a line
+    start, and number them from 1 there."""
     try:
         handle = open(path, "rb")
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
     with handle:
-        for lineno, raw in enumerate(handle, start=1):
+        if start:  # a pipe cannot seek
+            handle.seek(start)
+        for lineno, raw in enumerate(islice(handle, n_lines), start=1):
             try:
                 text = raw.decode("utf-8").strip()
             except UnicodeDecodeError:
@@ -499,10 +524,11 @@ def _iter_lines(path: Path):
                 yield lineno, text
 
 
-def _load_jsonl_records(path: Path, parse, aliases, violations, share):
-    """Parse one JSONL file into its records and an array of their line
-    numbers; ``parse(obj, share)`` returns one record (for tweets, the id of
-    the row it added to the columns). >10% undecodable is fatal.
+def _read_jsonl(path: Path, parse, aliases, violations, share, start=0, n_lines=None):
+    """Parse the lines ``_iter_lines(path, start, n_lines)`` yields into their
+    records and an array of their line numbers; ``parse(obj, share)`` returns
+    one record (for tweets, the id of the row it added to the columns). Every
+    other line adds one violation, ``invalid-json`` if it does not decode.
 
     A line decodes as one ``raw_decode`` that must end at the end of the
     stripped line. That accepts exactly what ``json.loads`` accepts: the strip
@@ -512,12 +538,8 @@ def _load_jsonl_records(path: Path, parse, aliases, violations, share):
     lines = array("Q")
     add_record = records.append
     add_line = lines.append
-    total = 0
-    malformed = 0
-    first_bad: int | None = None
     fname = path.name
-    for lineno, text in _iter_lines(path):
-        total += 1
+    for lineno, text in _iter_lines(path, start, n_lines):
         obj = None
         if text is not None:
             try:
@@ -531,9 +553,6 @@ def _load_jsonl_records(path: Path, parse, aliases, violations, share):
                         "\\ud" in text or "\\uD" in text) and any(_escapes(text)):
                     obj = None
         if type(obj) is not dict:
-            malformed += 1
-            if first_bad is None:
-                first_bad = lineno
             violations.append(Violation("invalid-json", file=fname, line=lineno))
             continue
         if aliases:
@@ -548,12 +567,125 @@ def _load_jsonl_records(path: Path, parse, aliases, violations, share):
             )
             continue
         add_line(lineno)
-    if total and malformed > MALFORMED_FATAL_FRACTION * total:
-        raise CorpusError(
-            f"{fname}: {malformed} of {total} lines are not valid JSON records "
-            f"(first offending line: {first_bad})"
-        )
     return records, lines
+
+
+def _check_decodable(fname: str, n_records: int, violations) -> None:
+    """Abort when more than MALFORMED_FATAL_FRACTION of a file's non-blank
+    lines, its ``n_records`` records and its ``violations``, are invalid-json."""
+    bad = [v.line for v in violations if v.rule == "invalid-json"]
+    if len(bad) > MALFORMED_FATAL_FRACTION * (n_records + len(violations)):
+        raise CorpusError(f"{fname}: {len(bad)} of {n_records + len(violations)} lines are not "
+                          f"valid JSON records (first offending line: {bad[0]})")
+
+
+def _load_jsonl_records(path: Path, parse, aliases, violations, share):
+    """The records of one JSONL file and their line numbers (see
+    ``_read_jsonl``); >10% undecodable is fatal."""
+    first = len(violations)
+    records, lines = _read_jsonl(path, parse, aliases, violations, share)
+    _check_decodable(path.name, len(records), violations[first:])
+    return records, lines
+
+
+def _range_starts(path: Path) -> list[int]:
+    """Where the byte ranges tweets.jsonl loads in start, at line starts, one
+    per usable core; [0], one process, with one usable core, no fork, or a file
+    that is not regular or is below _SPLIT_MIN_BYTES."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    starts = [0]
+    try:
+        info = os.stat(path)
+        if cores > 1 and hasattr(os, "fork") and S_ISREG(info.st_mode) and (
+                info.st_size >= _SPLIT_MIN_BYTES):
+            with open(path, "rb") as fh:
+                for k in range(1, cores):
+                    fh.seek(info.st_size * k // cores)
+                    fh.readline()
+                    if starts[-1] < fh.tell() < info.st_size:
+                        starts.append(fh.tell())
+    except OSError:  # reading the file reports it
+        return [0]
+    return starts
+
+
+def _count_lines(path: Path, start: int, stop: int) -> int:
+    """The physical lines in bytes [start, stop) of path, which end at a line end."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return sum(fh.read(min(stop - at, 1 << 20)).count(b"\n")
+                   for at in range(start, stop, 1 << 20))
+
+
+def _load_tweets(path: Path, parse, coder, aliases, violations):
+    """tweets.jsonl read as _load_jsonl_records reads it, ``parse`` adding its
+    rows to ``coder``: the ids and line numbers of the rows.
+
+    Over more than one range (see _range_starts), this process reads the first
+    and a forked worker each other one. A worker sends back its ids, its line
+    numbers counted from its range's start, violations, line count and
+    ``coder.part()``, folded into ``coder`` in range order: every code is the
+    one a sequential read gives. The 10% rule applies to the whole file.
+    """
+    starts = _range_starts(path)
+    if len(starts) == 1:
+        return _load_jsonl_records(path, parse, aliases, violations, None)
+    import multiprocessing
+    import pickle
+
+    stops = [*starts[1:], None]
+
+    def read(k):
+        n_lines = None if stops[k] is None else _count_lines(path, starts[k], stops[k])
+        found = []
+        return *_read_jsonl(path, parse, aliases, found, None, starts[k], n_lines), found, n_lines
+
+    def work(fd, k):
+        with open(fd, "wb") as pipe:
+            try:
+                part = (*read(k), coder.part())
+            except BaseException as exc:  # raised again in the parent
+                part = exc
+            pickle.dump(part, pipe, pickle.HIGHEST_PROTOCOL)
+
+    # fork, not spawn: a worker starts from this process's accounts and coder.
+    # It calls no BLAS, so numpy's BLAS threads cannot deadlock it, and it
+    # ends through os._exit, so no caller's finally runs in it.
+    context = multiprocessing.get_context("fork")
+    workers = []
+    ids, lines, offset, first = [], array("Q"), 0, len(violations)
+    try:
+        for k in range(1, len(starts)):
+            fd, worker_fd = os.pipe()
+            pipe = open(fd, "rb")
+            worker = context.Process(target=work, args=(worker_fd, k))
+            try:
+                worker.start()
+            finally:
+                os.close(worker_fd)
+            workers.append((worker, pipe))
+        # Each part is folded as it comes; a worker's is unpickled as it streams in.
+        for k in range(len(starts)):
+            part = read(k) if k == 0 else pickle.load(workers[k - 1][1])
+            if isinstance(part, BaseException):
+                raise part
+            part_ids, part_lines, found, n_lines, *rows = part
+            if rows:
+                coder.fold(*rows[0])
+            ids += part_ids
+            lines.frombytes((np.frombuffer(part_lines, dtype=np.uint64) + offset).tobytes())
+            violations += [replace(v, line=v.line + offset) for v in found]
+            offset += n_lines or 0
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, pipe in workers:
+            worker.join()
+            pipe.close()
+    _check_decodable(path.name, len(ids), violations[first:])
+    return ids, lines
 
 
 def _text_lines(path):
@@ -641,9 +773,9 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
         tweet_path = Path(tweet_path)
         accounts, account_lines = _load_jsonl_records(
             account_path, _parse_account, aliases.get("accounts", {}), violations, share)
-        parse_tweet, tweet_table = _tweet_loader([a.account_id for a in accounts])
-        tweet_ids, tweet_lines = _load_jsonl_records(
-            tweet_path, parse_tweet, aliases.get("tweets", {}), violations, share)
+        parse_tweet, coder = _tweet_loader([a.account_id for a in accounts])
+        tweet_ids, tweet_lines = _load_tweets(
+            tweet_path, parse_tweet, coder, aliases.get("tweets", {}), violations)
 
         edges: set[FollowEdge] = set()
         if edge_path is not None:
@@ -667,7 +799,7 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
 
         violations.sort(key=Violation.sort_key)
         return make_corpus(
-            accounts, tweet_table(tweet_ids), edges, partition,
+            accounts, coder.finish(tweet_ids), edges, partition,
             load_report=ValidationReport(tuple(violations)),
             line_numbers={"accounts": (account_path.name, account_lines),
                           "tweets": (tweet_path.name, tweet_lines)},

@@ -62,6 +62,8 @@ _CODED = {"author_id": ("author", "account_ids"), "text": ("text", "texts"),
           "hashtags": ("hashtags", "hashtag_lists"), "urls": ("urls", "url_lists"),
           "language": ("language", "languages")}
 _TWEET_FIELDS = tuple(f.name for f in fields(Tweet))
+# One packed row of a _row_coder, the columns in _DTYPES order.
+_ROW = np.dtype(list(_DTYPES.items()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +216,9 @@ def _row_coder(account_ids=()) -> SimpleNamespace:
       None target is -1 and a None language 0;
     - ``hashtags(tags)`` and ``urls(urls)`` give the list codes ``add`` takes;
     - ``tweet(record)`` adds a ``Tweet`` and returns its tweet id;
+    - ``part()`` gives the packed rows and the account and value lists so far,
+      and ``fold(*part)`` adds another coder's part: its codes are mapped
+      through this coder's, so values new here get codes in first-seen order;
     - ``finish(ids)`` makes the table. ``codes`` holds the value code dicts.
     """
     account_code = {account_id: code for code, account_id in enumerate(dict.fromkeys(account_ids))}
@@ -241,14 +246,23 @@ def _row_coder(account_ids=()) -> SimpleNamespace:
             _key(record.language))
         return record.tweet_id
 
+    def fold(rows: bytearray, account_ids, values) -> None:
+        maps = {"account_ids": [*(account(a, len(account_code)) for a in account_ids), -1]}
+        for (name, own), keys in zip(codes.items(), values):
+            maps[name] = [own.setdefault(key, len(own)) for key in keys]
+        table = np.frombuffer(rows, dtype=_ROW)  # a view that writes through to rows
+        for column, listing in _CODED.values():
+            table[column] = np.array(maps[listing])[table[column]]
+        add_row(rows)
+
     def finish(ids) -> TweetTable:
-        row = np.dtype(list(_DTYPES.items()))
-        columns = {name: np.frombuffer(packed, dtype=row)[name].copy() for name in _DTYPES}
+        columns = {name: np.frombuffer(packed, dtype=_ROW)[name].copy() for name in _DTYPES}
         packed.clear()
         return _new_table(ids, account_code, codes, **columns)
 
     return SimpleNamespace(
-        add=add, tweet=tweet, finish=finish, codes=codes,
+        add=add, tweet=tweet, finish=finish, codes=codes, fold=fold,
+        part=lambda: (packed, list(account_code), [list(keys) for keys in codes.values()]),
         hashtags=lambda tags: hashtag_lists.setdefault(tags, len(hashtag_lists)),
         urls=lambda urls: url_lists.setdefault(urls, len(url_lists)))
 

@@ -45,5 +45,5 @@ def corpus_of(accounts, tweets, edges=(), groups=None):
 
 def parse_tweet(obj):
     """One tweet object read as the loader reads it, as a ``Tweet`` record."""
-    parse, finish = _tweet_loader(())
-    return finish([parse(obj, {}.setdefault)]).rows([0])[0]
+    parse, coder = _tweet_loader(())
+    return coder.finish([parse(obj, {}.setdefault)]).rows([0])[0]

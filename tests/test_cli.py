@@ -1,5 +1,5 @@
 import csv
-import dataclasses
+import io
 import json
 import os
 import shutil
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from botsieve import detectkit, synthnet
 from botsieve.cli import DataError, _read_params_file, run
-from botsieve.corpus import Account, FollowEdge, Tweet, export_corpus
+from botsieve.corpus import export_corpus
 from conftest import account, corpus_of, tweet
 
 SCHEMA = json.loads(
@@ -521,17 +521,42 @@ def test_synth_is_the_fox8_preset(tmp_path):
 
 CORPUS_COMMANDS = ("ingest", "scan-phrases", "expand-domains", "graph-stats",
                    "content-stats", "score", "report")
-RECORD_FIELDS = sorted({f.name for cls in (Account, Tweet, FollowEdge)
-                        for f in dataclasses.fields(cls)})
-# Text may hold lone surrogates, which json.dumps writes as \udXXX escapes.
+# Text may hold lone surrogates, which json.dumps writes as \udXXX escapes; a
+# draw from all of Unicode seldom holds one, so some are drawn on purpose.
+TEXTS = st.text(st.characters(blacklist_categories=())
+                | st.sampled_from("\ud800\udfff\U0001f600"), max_size=8)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(st.characters(blacklist_categories=()), max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats() | TEXTS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=6)
-FUZZ_LINES = st.binary(max_size=40) | st.dictionaries(
-    st.sampled_from(RECORD_FIELDS), JSON_VALUES, max_size=6).map(lambda o: json.dumps(o).encode())
+# A fuzzed line is raw bytes, or (record, field, value): a valid line of the
+# file, picked by index, with the field at that index of its sorted fields
+# set to the value, so that it can load and reach the outputs.
+FUZZ_LINES = st.binary(max_size=40) | st.tuples(
+    st.integers(0, 99), st.integers(0, 99), TEXTS | st.lists(TEXTS, max_size=3) | JSON_VALUES)
+
+
+def _fuzzed_line(path: Path, spec, n: int) -> bytes:
+    """The ``FUZZ_LINES`` line ``spec`` for the file ``path``, the n-th appended
+    to it; a copied account or tweet gets a new id, so that it is not a
+    duplicate."""
+    if isinstance(spec, bytes):
+        return spec
+    record, key, value = spec
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if path.suffix == ".csv":
+        row = next(csv.reader([lines[1 + record % (len(lines) - 1)]]))
+        row[key % len(row)] = value if isinstance(value, str) else json.dumps(value)
+        line = io.StringIO()
+        csv.writer(line, lineterminator="").writerow(row)
+        return line.getvalue().encode("utf-8", "surrogatepass")
+    obj = json.loads(lines[record % len(lines)])
+    for name in ("tweet_id", "account_id"):
+        if name in obj:
+            obj[name] = f"fuzz{n}"
+    obj[sorted(obj)[key % len(obj)]] = value
+    return json.dumps(obj).encode()
 
 
 @pytest.fixture(scope="module")
@@ -554,6 +579,7 @@ def test_fuzzed_corpus_lines_exit_0_1_or_2(tiny_dir, name, lines):
     with tempfile.TemporaryDirectory() as tmp:
         corpus_dir = Path(tmp) / "corpus"
         shutil.copytree(tiny_dir, corpus_dir)
+        lines = [_fuzzed_line(tiny_dir / name, spec, n) for n, spec in enumerate(lines)]
         with open(corpus_dir / name, "ab") as fh:
             fh.write(b"".join(line + b"\n" for line in lines))
         for command in CORPUS_COMMANDS:
@@ -565,7 +591,8 @@ def test_fuzzed_corpus_lines_exit_0_1_or_2(tiny_dir, name, lines):
 
 
 @pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
-                                  "output-name-is-a-directory", "aliases-is-a-directory"])
+                                  "output-name-is-a-directory", "aliases-is-a-directory",
+                                  "export-dir-is-a-file", "export-name-is-a-directory"])
 def test_path_the_system_refuses_is_a_data_error(capsys, tmp_path, tiny_dir, case):
     scores = tmp_path / "scores.csv"
     scores.write_text("value,label\n50,bot\n51,bot\n40,human\n41,human\n")
@@ -580,13 +607,23 @@ def test_path_the_system_refuses_is_a_data_error(capsys, tmp_path, tiny_dir, cas
         # categories.csv comes after hits.csv, which must not be written either.
         (out / "categories.csv").mkdir(parents=True)
         argv = ["scan-phrases", "--corpus-dir", str(tiny_dir), "--out", str(out)]
+    elif case == "export-dir-is-a-file":
+        # ingest's own files come before the export, and must not be written either.
+        out.mkdir()
+        (out / "corpus").write_text("")
+        argv = ["ingest", "--corpus-dir", str(tiny_dir), "--export", "--out", str(out)]
+    elif case == "export-name-is-a-directory":
+        # accounts.jsonl is exported before tweets.jsonl.
+        (out / "tweets.jsonl").mkdir(parents=True)
+        argv = ["synth", "--n-bots", "15", "--n-humans", "10", "--out", str(out)]
     else:
         argv = ["ingest", "--corpus-dir", str(tiny_dir), "--aliases", str(tmp_path),
                 "--out", str(out)]
+    before = sorted(out.rglob("*")) if out.is_dir() else []
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("data error: ")
     if out.is_dir():
-        assert [p for p in out.rglob("*") if not p.is_dir()] == []
+        assert sorted(out.rglob("*")) == before
 
 
 @pytest.mark.parametrize("line", ["tweet_mix_means = 100", "tweet_mix_means = 50, 50",

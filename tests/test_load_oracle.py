@@ -14,15 +14,22 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import tempfile
+import threading
 from array import array
+from contextlib import contextmanager
 from datetime import timedelta
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -504,21 +511,37 @@ def test_one_tweet_object_parses_as_the_reference(obj):
     assert parsed(parse_tweet, obj) == parsed(lambda o: ref_parse_tweet(o, {}.setdefault), obj)
 
 
-@given(tweet_files())
+def write_files(tmp: Path, tweet_bytes: bytes) -> tuple:
+    """The four corpus files under tmp, with the given tweets.jsonl; their paths."""
+    paths = {"accounts": tmp / "accounts.jsonl", "tweets": tmp / "tweets.jsonl",
+             "edges": tmp / "edges.jsonl", "labels": tmp / "labels.csv"}
+    paths["accounts"].write_text("".join(json.dumps(o) + "\n" for o in ACCOUNT_LINES))
+    paths["edges"].write_text("".join(json.dumps(o) + "\n" for o in EDGE_LINES))
+    paths["labels"].write_text(LABELS)
+    paths["tweets"].write_bytes(tweet_bytes)
+    return (paths["accounts"], paths["tweets"], paths["edges"], paths["labels"])
+
+
+@contextmanager
+def split_into(ranges: int):
+    """Load tweets.jsonl of any size in ``ranges`` byte ranges (1: in one
+    process), as on a machine with that many usable cores."""
+    with mock.patch.object(cp, "_SPLIT_MIN_BYTES", 0), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(ranges))):
+        yield
+    assert multiprocessing.active_children() == []
+
+
+@given(tweet_files(), st.integers(1, 3))
 @settings(max_examples=250, derandomize=True, deadline=None)
-def test_load_and_export_match_the_frozen_reference(drawn):
+def test_load_and_export_match_the_frozen_reference(drawn, ranges):
     aliased, tweet_bytes = drawn
     aliases = ALIASES if aliased else None
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        paths = {"accounts": tmp / "accounts.jsonl", "tweets": tmp / "tweets.jsonl",
-                 "edges": tmp / "edges.jsonl", "labels": tmp / "labels.csv"}
-        paths["accounts"].write_text("".join(json.dumps(o) + "\n" for o in ACCOUNT_LINES))
-        paths["edges"].write_text("".join(json.dumps(o) + "\n" for o in EDGE_LINES))
-        paths["labels"].write_text(LABELS)
-        paths["tweets"].write_bytes(tweet_bytes)
-        args = (paths["accounts"], paths["tweets"], paths["edges"], paths["labels"])
-        mine = outcome(lambda: cp.load_corpus(*args, field_aliases=aliases))
+        args = write_files(tmp, tweet_bytes)
+        with split_into(ranges):
+            mine = outcome(lambda: cp.load_corpus(*args, field_aliases=aliases))
         ref = outcome(lambda: ref_load_corpus(*args, aliases))
         if ref[0] == "error":
             assert mine == ref
@@ -583,3 +606,160 @@ def test_export_across_chunks_matches_the_reference():
         out_mine = cp.export_corpus(mine, Path(tmp) / "mine")
         out_ref = ref_export_corpus(ref, Path(tmp) / "ref")
         assert out_mine["tweets"].read_bytes() == out_ref["tweets"].read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Split loads: lines at a range boundary
+
+def tweet_line(i, width=120, **fields) -> bytes:
+    """A valid tweet line (tweet t<i> by a0), padded with spaces to ``width``
+    bytes with its newline; ``fields`` replace or add fields."""
+    obj = {"tweet_id": f"t{i}", "author_id": "a0", "created_at": "2023-01-01T00:00:00Z",
+           "kind": "original", "text": f"hi {i}", **fields}
+    return json.dumps(obj).encode().ljust(width - 1) + b"\n"
+
+
+def loads(tmp: Path, tweet_bytes: bytes, ranges=2, starts=None):
+    """The outcome of loading tweet_bytes sequentially and in ``ranges``
+    ranges; ``starts`` are the range starts the split must use."""
+    args = write_files(tmp, tweet_bytes)
+    sequential = outcome(lambda: cp.load_corpus(*args))
+    with split_into(ranges):
+        if starts is not None:
+            assert cp._range_starts(args[1]) == starts
+        split = outcome(lambda: cp.load_corpus(*args))
+    return sequential, split
+
+
+def assert_same_load(sequential, split):
+    """The same outcome, down to the table's codes, line numbers and reports."""
+    assert split[0] == sequential[0]
+    if sequential[0] == "error":
+        assert split == sequential
+        return
+    mine, ref = split[1], sequential[1]
+    assert records(mine) == records(ref)
+    assert mine.line_numbers == ref.line_numbers
+    assert mine.load_report.to_rows() == ref.load_report.to_rows()
+    assert cp.validate(mine).to_rows() == cp.validate(ref).to_rows()
+    for name, value in vars(ref.table).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(mine.table, name), value), name
+        else:
+            assert getattr(mine.table, name) == value, name
+
+
+# 20 lines of 120 bytes split in two at byte 1200, the start of line 11; the
+# first range is read through line 11 (index 10), whose end is the boundary.
+LAST, FIRST = 10, 11
+BOUNDARY = [0, 11 * 120]
+BOUNDARY_LINES = {
+    "bad line": lambda i: b"{\"tweet_id\": ".ljust(119) + b"\n",
+    "blank line": lambda i: b" " * 119 + b"\n",
+    "validate violation": lambda i: tweet_line(i, kind="reply", author_id="x9"),
+}
+
+
+@pytest.mark.parametrize("at", [(LAST,), (FIRST,), (LAST, FIRST)])
+@pytest.mark.parametrize("case", sorted(BOUNDARY_LINES))
+def test_line_at_a_range_boundary_loads_as_in_one_process(tmp_path, case, at):
+    lines = [BOUNDARY_LINES[case](i) if i in at else tweet_line(i) for i in range(20)]
+    sequential, split = loads(tmp_path, b"".join(lines), starts=BOUNDARY)
+    assert_same_load(sequential, split)
+    corpus = split[1]
+    loaded = [i + 1 for i in range(20) if case == "validate violation" or i not in at]
+    assert list(corpus.line_numbers["tweets"][1]) == loaded
+    located = {"bad line": corpus.load_report, "blank line": (),
+               "validate violation": cp.validate(corpus)}[case]
+    assert sorted({v.line for v in located}) == [i + 1 for i in at if case != "blank line"]
+
+
+def test_duplicate_id_across_a_range_boundary_is_fatal(tmp_path):
+    lines = [tweet_line(FIRST if i == LAST else i) for i in range(20)]
+    sequential, split = loads(tmp_path, b"".join(lines), starts=BOUNDARY)
+    assert split == sequential == ("error", f"duplicate tweet_id: t{FIRST}")
+
+
+def test_missing_final_newline_at_a_range_boundary(tmp_path):
+    # The second range is the last line alone, which has no newline.
+    tweet_bytes = tweet_line(0, width=400) + tweet_line(1).rstrip(b"\n")
+    sequential, split = loads(tmp_path, tweet_bytes, starts=[0, 400])
+    assert_same_load(sequential, split)
+    assert list(split[1].line_numbers["tweets"][1]) == [1, 2]
+
+
+def test_three_ranges_number_lines_across_blank_and_bad_lines(tmp_path):
+    lines = [tweet_line(i) for i in range(30)]
+    for i in (3, 9, 10, 19, 20, 29):
+        lines[i] = BOUNDARY_LINES["blank line" if i % 2 else "bad line"](i)
+    sequential, split = loads(tmp_path, b"".join(lines)[:-1], ranges=3,
+                              starts=[0, 10 * 120, 20 * 120])
+    assert_same_load(sequential, split)
+    assert [v.line for v in split[1].load_report] == [11, 21]
+
+
+def test_bad_lines_over_a_tenth_of_one_range_but_not_of_the_file_load(tmp_path):
+    # 3 bad lines of the 20 in the second range, 3 of the 40 in the file.
+    lines = [tweet_line(i) for i in range(40)]
+    for i in (25, 30, 35):
+        lines[i] = BOUNDARY_LINES["bad line"](i)
+    sequential, split = loads(tmp_path, b"".join(lines), starts=[0, 21 * 120])
+    assert sequential[0] == "ok"
+    assert_same_load(sequential, split)
+
+
+def test_bad_lines_over_a_tenth_of_the_file_abort_at_the_first(tmp_path):
+    lines = [tweet_line(i) for i in range(20)]
+    for i in (12, 15, 18):
+        lines[i] = BOUNDARY_LINES["bad line"](i)
+    sequential, split = loads(tmp_path, b"".join(lines), starts=BOUNDARY)
+    assert split == sequential == ("error", "tweets.jsonl: 3 of 20 lines are not valid JSON "
+                                            "records (first offending line: 13)")
+
+
+def test_split_load_runs_no_caller_code_in_its_workers(tmp_path):
+    # A worker must leave through os._exit: a caller's finally (as in a
+    # launcher that writes its records when the program ends) runs once.
+    args = write_files(tmp_path, b"".join(tweet_line(i) for i in range(20)))
+    marker = tmp_path / "finally.txt"
+    with split_into(3):
+        try:
+            corpus = cp.load_corpus(*args)
+        finally:
+            with open(marker, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\n")
+    assert corpus.n_tweets == 20
+    assert marker.read_text(encoding="ascii").split() == [str(os.getpid())]
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_error_in_any_range_is_raised_and_leaves_no_worker(tmp_path, failing):
+    args = write_files(tmp_path, b"".join(tweet_line(i) for i in range(30))[:-1])
+    starts = [0, 10 * 120, 20 * 120]
+    read = cp._read_jsonl
+
+    def read_or_fail(path, *rest):
+        if path.name == "tweets.jsonl" and rest[-2] == starts[failing]:
+            raise CorpusError(f"range {failing}")
+        return read(path, *rest)
+
+    with split_into(3), mock.patch.object(cp, "_read_jsonl", read_or_fail):
+        assert cp._range_starts(args[1]) == starts
+        assert outcome(lambda: cp.load_corpus(*args)) == ("error", f"range {failing}")
+
+
+def test_tweets_read_from_a_pipe_load_in_one_process(tmp_path):
+    tweet_bytes = b"".join(tweet_line(i) for i in range(20))
+    args = write_files(tmp_path, tweet_bytes)
+    fifo = tmp_path / "fifo" / "tweets.jsonl"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(tweet_bytes,))
+    writer.start()
+    try:
+        with split_into(2):
+            assert cp._range_starts(fifo) == [0]
+            piped = outcome(lambda: cp.load_corpus(args[0], fifo, *args[2:]))
+    finally:
+        writer.join()
+    assert_same_load(outcome(lambda: cp.load_corpus(*args)), piped)
