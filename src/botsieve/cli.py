@@ -112,8 +112,8 @@ def _finite_float(text: str) -> float:
 
 
 def _name_list(text: str) -> list[str] | None:
-    """Comma-separated names; an empty value is the same as none given."""
-    return [n.strip() for n in text.split(",") if n.strip()] if text else None
+    """Comma-separated names; a value that names none is the same as none given."""
+    return [n.strip() for n in text.split(",") if n.strip()] or None
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +544,13 @@ def _synth_after_write(args, corpus, out, metrics) -> dict:
             export_corpus(corpus, args.export_to(args, out)).items()}
 
 
+def _load_report_corpus(args) -> Corpus:
+    """report's corpus; one group named as both bot and human is a usage error."""
+    if args.bot_group == args.human_group:
+        raise UsageError(f"--bot-group and --human-group are both {args.bot_group!r}")
+    return _load_corpus_from_args(args)
+
+
 def _report(corpus, args):
     """Every figure and table file over one load. Where a file is another
     stage's file, or one led by an edge_kind/group column, it takes that
@@ -676,7 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="key=value generator settings file "
                    "(human_* keys address the organic side)")
 
-    p = _add_command(sub, "report", _report, "emit every figure/table data file", corpus=True)
+    p = _add_command(sub, "report", _report, "emit every figure/table data file", corpus=True,
+                     load=_load_report_corpus)
     p.add_argument("--bot-group", default="bot")
     p.add_argument("--human-group", default="human")
     p.add_argument("--resolution", type=_positive_int, default=20)

@@ -87,22 +87,9 @@ def _gc_paused():
 
 def parse_instant(value) -> datetime:
     """Parse an ISO-8601 string or epoch seconds into a UTC datetime."""
-    if type(value) is str:
-        # Short path for "YYYY-MM-DDTHH:MM:SSZ", the form export writes for
-        # whole seconds. Since Python 3.11 fromisoformat reads the Z as UTC
-        # itself. With the T and both colons at these places, any string it
-        # accepts here yields the datetime the general path builds from
-        # "+00:00", tzinfo included; a string it rejects (every one, before
-        # 3.11) takes the general path, so the errors are unchanged.
-        if (len(value) == 20 and value[19] == "Z" and value[10] == "T"
-                and value[13] == ":" and value[16] == ":"):
-            try:
-                return _fromisoformat(value)
-            except ValueError:
-                pass
-    elif isinstance(value, bool):
+    if isinstance(value, bool):
         raise ValueError(f"not a timestamp: {value!r}")
-    elif isinstance(value, (int, float)):
+    if isinstance(value, (int, float)):
         return datetime.fromtimestamp(value, tz=timezone.utc)
     if isinstance(value, str):
         text = value.strip()
@@ -220,7 +207,7 @@ class Corpus:
 
     Accounts are slotted ``Account`` records keyed by id. The tweets live only
     in ``table``, one columnar ``TweetTable`` (built by ``table``'s one row
-    coder, or by mapping codes for merge and cap). ``tweets`` (a read-only
+    coder, which merge and cap fold their parts through). ``tweets`` (a read-only
     ``tweet_id -> Tweet`` Mapping), ``tweets_of`` and ``tweets_by_author`` are
     views that build ``Tweet`` rows from it on each access; the analysis
     stages read the columns. Within one ``load_corpus`` call, equal

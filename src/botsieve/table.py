@@ -2,10 +2,10 @@
 ``TweetTable`` that holds every tweet as numpy code columns.
 
 One row coder, ``_row_coder``, builds every table from rows: the lines
-``corpus`` loads, the ``Tweet`` records of ``make_corpus`` and the tweets
-``synthnet`` generates. ``_join`` maps the codes of existing tables for merge
-and cap. ``corpus`` re-exports the public names here. A table is immutable
-once built; its ``Tweet`` rows are built on access.
+``corpus`` loads, the ``Tweet`` records of ``make_corpus``, the tweets
+``synthnet`` generates, and for merge and cap the rows of existing tables,
+which ``_join`` folds through it. ``corpus`` re-exports the public names
+here. A table is immutable once built; its ``Tweet`` rows are built on access.
 """
 
 from __future__ import annotations
@@ -188,26 +188,6 @@ def _code(codes: dict, value) -> int:
     return codes.setdefault(_key(value), len(codes))
 
 
-def _value_codes() -> dict[str, dict]:
-    """The value lists of a new TweetTable as code dicts (see ``_code``), seeded
-    alike for every table: the kinds in KINDS order; the empty hashtag and URL
-    lists and no language at code 0."""
-    return {"kinds": dict(zip(KINDS, range(len(KINDS)))), "texts": {},
-            "hashtag_lists": {(): 0}, "url_lists": {(): 0}, "languages": {None: 0}}
-
-
-def _new_table(ids, account_code, codes, **columns) -> TweetTable:
-    """A TweetTable of the given ids, account codes, value code dicts and code
-    columns (any sequences; they become read-only numpy arrays here)."""
-    for name, dtype in _DTYPES.items():
-        columns[name] = np.ascontiguousarray(columns[name], dtype=dtype)
-        columns[name].setflags(write=False)
-    lists = {name: [key.value if type(key) is _Own else key for key in keys]
-             for name, keys in codes.items()}
-    return TweetTable(ids=ids, account_ids=list(account_code), account_code=account_code,
-                      **lists, **columns)
-
-
 def _row_coder(account_ids=()) -> SimpleNamespace:
     """The builder of one TweetTable, row by row; ``account_ids`` get the first codes.
 
@@ -217,12 +197,16 @@ def _row_coder(account_ids=()) -> SimpleNamespace:
     - ``hashtags(tags)`` and ``urls(urls)`` give the list codes ``add`` takes;
     - ``tweet(record)`` adds a ``Tweet`` and returns its tweet id;
     - ``part()`` gives the packed rows and the account and value lists so far,
-      and ``fold(*part)`` adds another coder's part: its codes are mapped
+      and ``fold(*part)`` adds another coder's part, or any packed ``_ROW``
+      rows with their account ids and value keys: its codes are mapped
       through this coder's, so values new here get codes in first-seen order;
-    - ``finish(ids)`` makes the table. ``codes`` holds the value code dicts.
+    - ``finish(ids)`` makes the table. ``codes`` holds the value code dicts,
+      seeded alike for every table: the kinds in KINDS order; the empty
+      hashtag and URL lists and no language at code 0.
     """
     account_code = {account_id: code for code, account_id in enumerate(dict.fromkeys(account_ids))}
-    codes = _value_codes()
+    codes = {"kinds": dict(zip(KINDS, range(len(KINDS)))), "texts": {},
+             "hashtag_lists": {(): 0}, "url_lists": {(): 0}, "languages": {None: 0}}
     kinds, texts, hashtag_lists, url_lists, languages = codes.values()
     # Each row's codes are packed in _DTYPES order: one call per row, not one per column.
     pack_row = struct.Struct("=" + "".join({np.int8: "b", np.int32: "i", np.int64: "q"}[dtype]
@@ -246,19 +230,24 @@ def _row_coder(account_ids=()) -> SimpleNamespace:
             _key(record.language))
         return record.tweet_id
 
-    def fold(rows: bytearray, account_ids, values) -> None:
+    def fold(rows, account_ids, values) -> None:
         maps = {"account_ids": [*(account(a, len(account_code)) for a in account_ids), -1]}
         for (name, own), keys in zip(codes.items(), values):
             maps[name] = [own.setdefault(key, len(own)) for key in keys]
         table = np.frombuffer(rows, dtype=_ROW)  # a view that writes through to rows
         for column, listing in _CODED.values():
             table[column] = np.array(maps[listing])[table[column]]
-        add_row(rows)
+        add_row(memoryview(rows).cast("B"))
 
     def finish(ids) -> TweetTable:
         columns = {name: np.frombuffer(packed, dtype=_ROW)[name].copy() for name in _DTYPES}
         packed.clear()
-        return _new_table(ids, account_code, codes, **columns)
+        for column in columns.values():
+            column.setflags(write=False)
+        lists = {name: [key.value if type(key) is _Own else key for key in keys]
+                 for name, keys in codes.items()}
+        return TweetTable(ids=ids, account_ids=list(account_code), account_code=account_code,
+                          **lists, **columns)
 
     return SimpleNamespace(
         add=add, tweet=tweet, finish=finish, codes=codes, fold=fold,
@@ -269,27 +258,16 @@ def _row_coder(account_ids=()) -> SimpleNamespace:
 
 def _join(parts) -> TweetTable:
     """One TweetTable of the rows of the given (table, rows) parts, in order
-    (rows None: all of them). Each part's value lists are coded into the new
-    table's once, and its code columns are mapped through them."""
-    account_code: dict = {}
-    codes = _value_codes()
-    ids = []
-    columns = {name: [np.empty(0, dtype=dtype)] for name, dtype in _DTYPES.items()}
+    (rows None: all of them). Each part's rows are packed and folded through
+    one row coder, with its value lists re-keyed (see ``_key``)."""
+    coder, ids = _row_coder(), []
     for table, rows in parts:
         ids += table.ids if rows is None else map(table.ids.__getitem__, rows)
         rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
-        columns["created_us"].append(table.created_us[rows])
-        for column, listing in _CODED.values():
-            if listing == "account_ids":
-                # The last entry maps the code -1 of a missing target to -1.
-                new = [*(account_code.setdefault(account_id, len(account_code))
-                         for account_id in table.account_ids), -1]
-            else:
-                new = [_code(codes[listing], value) for value in getattr(table, listing)]
-            new = np.array(new, dtype=_DTYPES[column])
-            columns[column].append(new[getattr(table, column)[rows]])
-    return _new_table(ids, account_code, codes,
-                      **{name: np.concatenate(arrays) for name, arrays in columns.items()})
+        coder.fold(np.rec.fromarrays([getattr(table, name)[rows] for name in _DTYPES], dtype=_ROW),
+                   table.account_ids,
+                   [[_key(value) for value in getattr(table, name)] for name in coder.codes])
+    return coder.finish(ids)
 
 
 class TweetRows(Mapping):

@@ -151,6 +151,16 @@ def test_graph_stats_pair_groups(capsys, synth_dir, tmp_path):
     assert (out / "reply_pair_rates.csv").exists()
 
 
+@pytest.mark.parametrize("names", ["", ",", " , "])
+def test_graph_stats_pair_groups_naming_none_is_none_given(capsys, synth_dir, tmp_path, names):
+    out = tmp_path / "out"
+    summary = run_json(capsys, [
+        "graph-stats", "--corpus-dir", str(synth_dir), "--kind", "reply",
+        "--pair-groups", names, "--out", str(out)])
+    assert "pair_rates" not in summary["metrics"]
+    assert not list(out.glob("*_pair_rates.csv"))
+
+
 def test_content_stats(capsys, synth_dir, tmp_path):
     out = tmp_path / "out"
     summary = run_json(capsys, ["content-stats", "--corpus-dir", str(synth_dir),
@@ -370,6 +380,18 @@ def test_non_positive_counts_are_usage_errors_before_loading(capsys, tmp_path, a
     missing = str(tmp_path / "no-such-corpus")
     assert run(argv + ["--corpus-dir", missing, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("corpus", ["synth", "missing"])
+def test_report_with_one_group_as_bot_and_human_is_a_usage_error(capsys, synth_dir, tmp_path,
+                                                                   corpus):
+    # Raised before the corpus loads: a missing corpus is not reached.
+    corpus_dir = synth_dir if corpus == "synth" else tmp_path / "no-such-corpus"
+    out = tmp_path / "out"
+    assert run(["report", "--corpus-dir", str(corpus_dir), "--bot-group", "bot",
+                "--human-group", "bot", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,row", [("sweep", "nan,human"), ("sweep", "inf,bot"),

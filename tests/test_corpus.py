@@ -369,6 +369,23 @@ def test_merge_corpora_disjoint_and_collision():
         cp.merge_corpora(one, one)
 
 
+def test_merge_and_cap_keep_look_alike_values_apart():
+    # (1,) and (True,) are equal tuples that are written differently, and a
+    # list cannot be hashed: each must keep a code of its own.
+    tags = [(1,), (True,), ["a", 1.5], ("a",)]
+
+    def part(prefix, day, values):
+        return cp.make_corpus([], [dataclasses.replace(
+            tweet(f"{prefix}{i}", f"u{i}", created=f"2023-01-0{day}T00:00:00Z"), hashtags=value)
+            for i, value in enumerate(values)])
+
+    merged = cp.merge_corpora(part("x", 1, tags), part("y", 2, tags[::-1]))
+    assert [repr(t.hashtags) for t in merged.table.rows()] == [repr(v) for v in tags + tags[::-1]]
+    capped = cp.cap_tweets(merged, 1)
+    assert capped.table.ids == ["y0", "y1", "y2", "y3"]
+    assert [repr(t.hashtags) for t in capped.table.rows()] == [repr(v) for v in tags[::-1]]
+
+
 def test_cap_tweets_keeps_line_numbers(tmp_path):
     lines = TWEET_LINES + [{**TWEET_LINES[0], "tweet_id": "t0", "author_id": "ghost"}]
     paths = write_corpus_files(tmp_path, tweets=lines)
@@ -880,8 +897,8 @@ def instant_outcome(parse, value):
     return ("instant", dt, repr(dt), dt.tzinfo)
 
 
-# Strings at and near the short path's "YYYY-MM-DDTHH:MM:SSZ" form: a
-# canonical instant with a few characters replaced, inserted or removed.
+# Strings at and near the "YYYY-MM-DDTHH:MM:SSZ" form export writes for whole
+# seconds: a canonical instant with a few characters replaced, inserted or removed.
 NEAR_CHARS = st.sampled_from(list("0123456789-:TtZz+ .,W\x00\xe9") + ["\udc80", "\u3000"])
 
 
@@ -910,6 +927,15 @@ def near_canonical(draw):
 @settings(max_examples=2000, derandomize=True, deadline=None)
 def test_parse_instant_matches_the_reference(value):
     assert instant_outcome(cp.parse_instant, value) == instant_outcome(ref_parse_instant, value)
+
+
+@given(near_canonical())
+@settings(max_examples=2000, derandomize=True, deadline=None)
+def test_tweet_parser_reads_created_at_as_the_reference(value):
+    # The tweet parser reads a string ending in Z itself and falls back to
+    # parse_instant only when that read fails.
+    obj = {**TWEET_LINES[1], "created_at": value}
+    assert outcome(parse_tweet, obj) == outcome(ref_parse_tweet, obj)
 
 
 # Reference copies of format_instant and of the JSONL part of export_corpus as
