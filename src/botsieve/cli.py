@@ -20,12 +20,13 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from . import contentstats, detectkit, graphlab, linkmap, seedscan, synthnet
 from .corpus import (ACCOUNTS_FILE, EDGES_FILE, LABELS_FILE, TWEETS_FILE, Corpus,
-                     GroupPartition, _csv_records, _text_lines, cap_tweets, export_corpus,
-                     load_corpus, validate)
+                     GroupPartition, _csv_header, _csv_row, _iter_lines, _text_lines,
+                     cap_tweets, export_corpus, load_corpus, validate)
 
 SUBCOMMANDS = ("ingest", "scan-phrases", "expand-domains", "graph-stats",
                "content-stats", "score", "sweep", "ttest", "synth", "report")
@@ -132,8 +133,8 @@ def _rank_rows(ranking) -> list[tuple]:
     return [(r + 1, key, c) for r, (key, c) in enumerate(ranking)]
 
 
-def _sweep_rows(outcome: detectkit.SweepOutcome) -> list[tuple]:
-    return [(r.threshold, r.precision, r.recall, r.f1) for r in outcome.curve]
+def _sweep_rows(outcome: detectkit.SweepOutcome):
+    return zip(outcome.threshold, outcome.precision, outcome.recall, outcome.f1)
 
 
 def _keyed(column: str, columns, parts) -> tuple:
@@ -221,22 +222,36 @@ def _group_members(corpus: Corpus, name: str | None):
     return sorted(corpus.partition[name])
 
 
-def _read_scores_csv(path: Path) -> list[tuple[float, str]]:
-    """Rows of a value,label CSV; a row without a finite value and a label
-    of bot or human is a data error at its line."""
+def _read_scores_csv(path: Path) -> tuple[list[float], list[float]]:
+    """The bot and the human values of a value,label CSV, each in file order;
+    a row without a finite value and a label of bot or human is a data error
+    at its line. A line with no quote, carriage return or NUL is split on its
+    commas, as the csv module splits it; any other line goes through it."""
     labels = (detectkit.BOT_LABEL, detectkit.HUMAN_LABEL)
-    scores = []
-    for lineno, row in _csv_records(path, ("value", "label")):
+    lines = _iter_lines(path)
+    fields = _csv_header(path, lines, ("value", "label"))
+    width = len(fields)
+    # Each name's last column, as the dict of a row at least as wide as the header holds it.
+    at_value, at_label = (width - 1 - fields[::-1].index(name) for name in ("value", "label"))
+    values: dict[str, list[float]] = {label: [] for label in labels}
+    for lineno, text in lines:
+        plain = text is not None and '"' not in text and "\r" not in text and "\0" not in text
+        row = text.split(",") if plain else _csv_row(text)
+        if len(row) >= width:
+            value, label = row[at_value], row[at_label].strip()
+        else:
+            record = dict(zip(fields, row))
+            value, label = record.get("value"), record.get("label", "").strip()
         try:
-            value = float(row["value"])
-        except (KeyError, ValueError):
-            value = math.nan
-        label = row.get("label", "").strip()
-        if not math.isfinite(value) or label not in labels:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        column = values.get(label)
+        if column is None or not math.isfinite(number):
             raise DataError(f"{path}:{lineno}: need a finite value and a label in "
-                            f"{labels}, got {row.get('value')!r},{label!r}")
-        scores.append((value, label))
-    return scores
+                            f"{labels}, got {value!r},{label!r}")
+        column.append(number)
+    return values[labels[0]], values[labels[1]]
 
 
 DETECTOR_OPTIONS = {"stub_key": ("stub",), "scale": ("stub", "replay"), "replay_file": ("replay",)}
@@ -451,8 +466,8 @@ def _score(corpus, args):
 
 
 def _sweep(_, args):
-    scores = _read_scores_csv(_require(args.scores, "--scores"))
-    outcome = detectkit.sweep_threshold(scores)
+    bots, humans = _read_scores_csv(_require(args.scores, "--scores"))
+    outcome = detectkit.sweep_threshold(split=(bots, humans))
     summary = {
         "best_threshold": outcome.best.threshold,
         "f1": outcome.best.f1,
@@ -461,8 +476,7 @@ def _sweep(_, args):
         "welch": None,
     }
     try:
-        summary["welch"] = dataclasses.asdict(
-            detectkit.welch_t(*detectkit.split_labeled(scores)))
+        summary["welch"] = dataclasses.asdict(detectkit.welch_t(bots, humans))
     except ValueError:
         pass
     files = {
@@ -473,7 +487,7 @@ def _sweep(_, args):
 
 
 def _ttest(_, args):
-    bots, humans = detectkit.split_labeled(_read_scores_csv(_require(args.scores, "--scores")))
+    bots, humans = _read_scores_csv(_require(args.scores, "--scores"))
     result = detectkit.welch_t(bots, humans)
     obj = {**dataclasses.asdict(result), "n_bot": len(bots), "n_human": len(humans)}
     return {"ttest": ("ttest.json", obj)}, obj
@@ -557,7 +571,9 @@ def _report(corpus, args):
     stage's rows."""
     detector = _make_detector(args)
     bot, human = args.bot_group, args.human_group
-    members = {name: sorted(corpus.partition.groups.get(name, ())) for name in (bot, human)}
+    # A corpus without labels reports two empty groups.
+    members = {name: _group_members(corpus, name) if corpus.partition.names else []
+               for name in (bot, human)}
     content = {name: _content_stats(corpus, _with(args, group=name))[0]
                for name in (bot, human) if members[name]}
     metrics: dict = {"bot_group_size": len(members[bot]), "human_group_size": len(members[human])}
@@ -600,21 +616,22 @@ def _report(corpus, args):
     recall = {"threshold": args.recall_threshold, "recall": None,
               "n_bot_scores": 0, "scores_file": None}
     if args.recall_scores:
-        recall_scores = _read_scores_csv(_require(args.recall_scores, "--recall-scores"))
-        recall["recall"] = detectkit.recall_at(recall_scores, args.recall_threshold)
-        recall["n_bot_scores"] = len(detectkit.split_labeled(recall_scores)[0])
+        bots, _ = _read_scores_csv(_require(args.recall_scores, "--recall-scores"))
+        recall["recall"] = detectkit.recall_at(zip(bots, repeat(detectkit.BOT_LABEL)),
+                                               args.recall_threshold)
+        recall["n_bot_scores"] = len(bots)
         recall["scores_file"] = str(args.recall_scores)
     files["fig6_recall"] = ("fig6_recall.json", recall)
 
     sweep_rows = []
     if members[bot] and members[human]:
         rules = _qualification_rules(args)
-        labeled = {}
-        for name, label in ((bot, detectkit.BOT_LABEL), (human, detectkit.HUMAN_LABEL)):
+        split = []
+        for name in (bot, human):
             scores, _ = detectkit.score_corpus(corpus, detector, rules, group=members[name])
-            labeled[label] = [(s.mean_score, label) for s in scores.values()]
-        if all(labeled.values()):
-            outcome = detectkit.sweep_threshold([row for rows in labeled.values() for row in rows])
+            split.append([s.mean_score for s in scores.values()])
+        if all(split):
+            outcome = detectkit.sweep_threshold(split=split)
             sweep_rows = _sweep_rows(outcome)
             metrics["best_threshold"] = outcome.best.threshold
             metrics["best_f1"] = outcome.best.f1

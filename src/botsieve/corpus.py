@@ -693,13 +693,19 @@ def _csv_row(text: str | None) -> list[str]:
         return []
 
 
+def _csv_header(path, lines, required: tuple[str, ...]) -> list[str]:
+    """The column names on the first of ``lines``; they must hold ``required``."""
+    fields = _csv_row(next(lines, (None, None))[1])
+    if not set(required) <= set(fields):
+        raise CorpusError(f"{path}: header must contain {','.join(required)}")
+    return fields
+
+
 def _csv_records(path, required: tuple[str, ...]):
     """(line, {column: value}) for each line after a header that names every
     ``required`` column; the dict is empty when a line is not UTF-8 or not CSV."""
     lines = _iter_lines(Path(path))
-    fields = _csv_row(next(lines, (None, None))[1])
-    if not set(required) <= set(fields):
-        raise CorpusError(f"{path}: header must contain {','.join(required)}")
+    fields = _csv_header(path, lines, required)
     return ((lineno, dict(zip(fields, _csv_row(text)))) for lineno, text in lines)
 
 

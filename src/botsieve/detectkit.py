@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -382,8 +383,18 @@ class ThresholdResult:
 
 @dataclass(frozen=True)
 class SweepOutcome:
+    """The F1-best candidate, and the curve as one column per field."""
+
     best: ThresholdResult
-    curve: tuple[ThresholdResult, ...]
+    threshold: tuple[float, ...]
+    f1: tuple[float, ...]
+    precision: tuple[float, ...]
+    recall: tuple[float, ...]
+
+    @cached_property
+    def curve(self) -> tuple[ThresholdResult, ...]:
+        """One ThresholdResult per candidate, built on first access."""
+        return tuple(map(ThresholdResult, self.threshold, self.f1, self.precision, self.recall))
 
 
 def split_labeled(scores) -> tuple[list[float], list[float]]:
@@ -424,9 +435,11 @@ def _midpoints(values: np.ndarray) -> np.ndarray:
     return midpoints
 
 
-def sweep_threshold(scores) -> SweepOutcome:
+def sweep_threshold(scores=(), *, split=None) -> SweepOutcome:
     """Find the F1-maximizing bot/human threshold (predict bot iff value >= t).
 
+    ``split``, the finite bot and human values as :func:`split_labeled`
+    returns them, stands in for ``scores`` where the caller has split them.
     Candidates are the midpoints between consecutive distinct score values
     plus one sentinel below and above everything, which covers every
     achievable confusion matrix. A midpoint is ``(a + b) / 2``, or
@@ -439,8 +452,8 @@ def sweep_threshold(scores) -> SweepOutcome:
     once and counted at every candidate by binary search, so the sweep is
     O(N log N).
     """
-    bots, humans = split_labeled(scores)
-    if not bots or not humans:
+    bots, humans = split_labeled(scores) if split is None else split
+    if not len(bots) or not len(humans):
         raise ValueError("need both bot- and human-labeled scores")
     bot_values = np.sort(bots)
     human_values = np.sort(humans)
@@ -456,9 +469,9 @@ def sweep_threshold(scores) -> SweepOutcome:
     f1 = np.divide(2 * precision * recall, precision + recall,
                    out=np.zeros(len(candidates)), where=precision + recall > 0)
 
-    curve = tuple(map(ThresholdResult, candidates.tolist(), f1.tolist(),
-                      precision.tolist(), recall.tolist()))
-    return SweepOutcome(best=curve[int(np.argmax(f1))], curve=curve)
+    i = int(np.argmax(f1))
+    columns = [tuple(column.tolist()) for column in (candidates, f1, precision, recall)]
+    return SweepOutcome(ThresholdResult(*(column[i] for column in columns)), *columns)
 
 
 def recall_at(scores, threshold: float) -> float:

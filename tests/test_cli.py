@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,13 +10,14 @@ import tempfile
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botsieve import detectkit, synthnet
-from botsieve.cli import DataError, _read_params_file, run
-from botsieve.corpus import export_corpus
+from botsieve.cli import DataError, _read_params_file, _read_scores_csv, run
+from botsieve.corpus import _csv_records, export_corpus
 from conftest import account, corpus_of, tweet
 
 SCHEMA = json.loads(
@@ -402,6 +404,139 @@ def test_bad_score_row_is_a_located_data_error(capsys, tmp_path, command, row):
     scores.write_text("value,label\n" + "\n".join(rows + [row]) + "\n")
     assert run([command, "--scores", str(scores), "--out", str(tmp_path / "o")]) == 2
     assert f"{scores}:8:" in capsys.readouterr().err
+
+
+def reference_read_scores_csv(path):
+    """The score reader as built on ``_csv_records``: one csv row and one dict
+    per line. ``_read_scores_csv`` must read every file as this does."""
+    labels = (detectkit.BOT_LABEL, detectkit.HUMAN_LABEL)
+    scores = []
+    for lineno, row in _csv_records(path, ("value", "label")):
+        try:
+            value = float(row["value"])
+        except (KeyError, ValueError):
+            value = math.nan
+        label = row.get("label", "").strip()
+        if not math.isfinite(value) or label not in labels:
+            raise DataError(f"{path}:{lineno}: need a finite value and a label in "
+                            f"{labels}, got {row.get('value')!r},{label!r}")
+        scores.append((value, label))
+    return scores
+
+
+SCORE_NAMES = st.sampled_from(("value", "label", " value", "label ", "x"))
+SCORE_VALUES = (st.sampled_from(("1", "2.5", " 3 ", "1_0", "-0", "1e308", "2,5"))
+                | st.floats(allow_nan=False, allow_infinity=False).map(repr))
+SCORE_LABELS = st.sampled_from(("bot", "human", " bot", "human ", "bot,human"))
+BAD_SCORE_CELLS = st.sampled_from(("nan", "-inf", "1e400", "", "x", "hmn"))
+ODD_SCORE_LINES = st.sampled_from((b"\n", b"  \n", b"\xff,bot\n", b"1,hu\xffman\n",
+                                   b'1,"bot\n', b'1,b"ot\n', b"2\x00,human\n"))
+
+
+@st.composite
+def score_files(draw):
+    """A value,label file: a header of names (repeated, reordered or padded
+    now and then) and rows whose cells suit those names. Now and then a cell
+    is quoted or one no reader takes, a row is short or long, a line holds a
+    carriage return or ends in CRLF, and an odd line (blank, not UTF-8, a
+    stray quote) comes in."""
+    def rarely(odds):
+        # Not at a bound of the range: hypothesis draws those far more often.
+        return draw(st.integers(0, 10**6)) % odds == 1
+
+    names = draw(st.sampled_from((["value", "label"], ["label", "value"],
+                                  ["value", "label", "value"]))
+                 | st.lists(SCORE_NAMES, min_size=2, max_size=4))
+    cells = {"value": SCORE_VALUES, "label": SCORE_LABELS}
+    rows = draw(st.lists(st.tuples(*(cells.get(name, SCORE_VALUES | SCORE_LABELS)
+                                     for name in names)), max_size=8))
+    lines = []
+    for row in [names, *rows]:
+        row = list(row)
+        if rarely(16):
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_SCORE_CELLS)
+        if rarely(16):
+            row = row[:draw(st.integers(0, len(row)))]
+        if rarely(8):
+            row.append(draw(SCORE_VALUES | SCORE_LABELS))
+        text = ",".join('"' + cell.replace('"', '""') + '"' if rarely(4) else cell
+                        for cell in row)
+        if rarely(16):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + "\r" + text[at:]
+        if rarely(16):
+            lines.append(draw(ODD_SCORE_LINES))
+        lines.append(text.encode() + draw(st.sampled_from((b"\n", b"\r\n"))))
+    return b"".join(lines)
+
+
+def _scores_or_error(read, path):
+    """(bot values, human values) as reprs, or the error the reader raised."""
+    try:
+        bots, humans = read(path)
+    except (DataError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return [repr(v) for v in bots], [repr(v) for v in humans]
+
+
+def _split_rows(path):
+    rows = reference_read_scores_csv(path)
+    return ([v for v, label in rows if label == detectkit.BOT_LABEL],
+            [v for v, label in rows if label == detectkit.HUMAN_LABEL])
+
+
+@given(data=score_files())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_score_reader_reads_every_file_as_the_reference(data):
+    # Quoted cells (a quoted comma among them), carriage returns, short and
+    # long rows, repeated and reordered header names, padded cells, values
+    # float() takes or refuses, non-UTF-8 and blank lines: the same values
+    # by label, or the same error at the same line.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scores.csv"
+        path.write_bytes(data)
+        assert _scores_or_error(_read_scores_csv, path) == _scores_or_error(_split_rows, path)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_builds_one_threshold_result_and_writes_the_curve(tmp_path, monkeypatch, seed):
+    # The curve goes from the sweep to sweep_curve.csv as columns: only the
+    # best row is a ThresholdResult. The file still equals the curve a
+    # library caller reads, sentinel rows at the largest float included.
+    rng = np.random.default_rng(seed)
+    top = sys.float_info.max
+    values = np.concatenate([rng.normal(50.0, 20.0, 598), rng.integers(0, 40, 398),
+                             [1e308, -1e308]]).tolist()
+    rows = list(zip(values, rng.choice(["bot", "human"], len(values)).tolist()))
+    rows += [(top, "bot"), (-top, "human")]
+    scores = tmp_path / "scores.csv"
+    scores.write_text("value,label\n" + "".join(f"{v!r},{label}\n" for v, label in rows))
+    built = []
+    make_result = detectkit.ThresholdResult
+    monkeypatch.setattr(detectkit, "ThresholdResult",
+                        lambda *fields: built.append(fields) or make_result(*fields))
+    out = tmp_path / "out"
+    assert run(["sweep", "--scores", str(scores), "--out", str(out)]) == 0
+    assert len(built) <= 1
+    monkeypatch.undo()
+
+    curve = detectkit.sweep_threshold(rows).curve
+    assert (curve[0].threshold, curve[-1].threshold) == (-top, top)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(("threshold", "precision", "recall", "f1"))
+    writer.writerows((r.threshold, r.precision, r.recall, r.f1) for r in curve)
+    assert (out / "sweep_curve.csv").read_bytes().decode("utf-8") == expected.getvalue()
+
+
+@pytest.mark.parametrize("option,group", [("--bot-group", "nosuch"), ("--bot-group", "bot "),
+                                          ("--human-group", "nosuch")])
+def test_report_group_not_in_labels_is_a_data_error(capsys, synth_dir, tmp_path, option, group):
+    out = tmp_path / "out"
+    assert run(["report", "--corpus-dir", str(synth_dir), "--detector", "stub", option, group,
+                "--out", str(out)]) == 2
+    assert f"missing artifact: group {group!r} not in labels" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _csv_rows(path):
