@@ -44,9 +44,6 @@ def test_criterion_1_threshold_sweep_reproduction(simulated_scores):
 def test_criterion_2_welch_reproduction(simulated_scores):
     bots = [v for v, label in simulated_scores if label == "bot"]
     humans = [v for v, label in simulated_scores if label == "human"]
-    # welch_t imports scipy.special on first use; load it here so the bound
-    # times the test itself, not the import.
-    import scipy.special  # noqa: F401
     start = time.perf_counter()
     result = detectkit.welch_t(bots, humans)
     elapsed = time.perf_counter() - start

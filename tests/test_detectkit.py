@@ -516,7 +516,7 @@ def test_welch_fixture():
 def test_welch_identical_samples():
     result = dk.welch_t([1, 2, 3], [1, 2, 3])
     assert result.t == 0.0
-    assert result.p == pytest.approx(1.0)
+    assert result.p == 1.0
 
 
 def test_welch_sign_follows_means():
@@ -531,6 +531,9 @@ def test_welch_errors():
         dk.welch_t([2, 2, 2], [3, 3, 3])
     with pytest.raises(ValueError, match="not finite"):
         dk.welch_t([1e308, -1e308], [1e308, -1e308])
+    # NaN statistics must not reach the p loop, which would not end on them.
+    with pytest.raises(ValueError, match="not finite"):
+        dk.welch_t([math.nan, 1.0], [2.0, 3.0])
     # numpy's variance of this constant sample is 1.9e-29, the rounding of its mean.
     with pytest.raises(ValueError, match="degenerate"):
         dk.welch_t([0.0, 0.0], [22.044602925845844] * 3)
@@ -549,6 +552,38 @@ def test_welch_tiny_samples_keep_their_precision():
     result = dk.welch_t([50.0, 50.0], [0.0, 1e-300])
     assert result.t == pytest.approx(1e302, rel=1e-12)
     assert result.df == pytest.approx(1.0, rel=1e-12)
+    # The Cauchy tail, which scipy's 2*stdtr(1, -1e302) underflows to 0.0.
+    assert result.p == pytest.approx(2 * math.atan(1e-302) / math.pi, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def stdtr():
+    return pytest.importorskip("scipy.special").stdtr
+
+
+@given(st.floats(0, 8), st.floats(-5, 3), st.booleans())
+@settings(max_examples=300)
+def test_welch_p_matches_scipy(stdtr, log_df, log_t, negative):
+    # scipy itself was off by up to 4.9e-12 at df = 1 and |t| near 1e-5, where
+    # p = 1 - 2*atan(|t|)/pi; elsewhere the two agreed to 5.3e-13.
+    df, t = 10.0**log_df, (-1.0 if negative else 1.0) * 10.0**log_t
+    reference = float(2.0 * stdtr(df, -abs(t)))
+    if reference < 1e-300:
+        return
+    assert dk._t_two_sided_p(t, df) == pytest.approx(reference, rel=1e-11, abs=0)
+
+
+@given(st.floats(0, 3), st.floats(-5, 3))
+@settings(max_examples=60)
+def test_welch_p_matches_mpmath(log_df, log_t):
+    mp = pytest.importorskip("mpmath")
+    df, t = 10.0**log_df, 10.0**log_t
+    with mp.workdps(40):
+        x = mp.mpf(df) / (mp.mpf(df) + mp.mpf(t) ** 2)
+        reference = mp.betainc(mp.mpf(df) / 2, mp.mpf(1) / 2, 0, x, regularized=True)
+        if reference < mp.mpf("1e-300"):
+            return
+        assert abs(dk._t_two_sided_p(t, df) / reference - 1) <= 1e-12
 
 
 def _rounding_shift(sample):
