@@ -803,17 +803,41 @@ def test_shared_group_label_makes_synth_exit_2_and_write_nothing(capsys, tmp_pat
     assert not out.exists()
 
 
-def test_subcommands_load_no_scipy_module(tiny_dir, tmp_path):
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, botsieve.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_graph_stats_and_report_load_no_scipy_module(tiny_dir, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    corpus = ["--corpus-dir", str(tiny_dir)]
+    runs = [["graph-stats", *corpus, "--kind", "reply", "--pair-groups", "bot,human",
+             "--out", str(tmp_path / "graph")],
+            ["report", *corpus, "--out", str(tmp_path / "report")]]
+    code = ("import sys; from botsieve.cli import run\n"
+            f"codes = [run(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0] []"
+
+
+def test_sweep_and_ttest_load_no_scipy_module(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     scores = tmp_path / "scores.csv"
     scores.write_text("value,label\n60,bot\n55,bot\n58,bot\n40,human\n48,human\n45,human\n")
-    corpus = ["--corpus-dir", str(tiny_dir)]
-    runs = [["graph-stats", *corpus, "--kind", "reply", "--pair-groups", "bot,human",
-             "--out", str(tmp_path / "graph")],
-            ["report", *corpus, "--out", str(tmp_path / "report")],
-            ["sweep", "--scores", str(scores), "--out", str(tmp_path / "sweep")],
+    runs = [["sweep", "--scores", str(scores), "--out", str(tmp_path / "sweep")],
             ["ttest", "--scores", str(scores), "--out", str(tmp_path / "ttest")]]
     code = ("import sys; from botsieve.cli import run\n"
             f"codes = [run(argv) for argv in {runs!r}]\n"
@@ -821,7 +845,7 @@ def test_subcommands_load_no_scipy_module(tiny_dir, tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[0, 0, 0, 0] []"
+    assert result.stdout.strip() == "[0, 0] []"
     written = json.loads((tmp_path / "ttest" / "ttest.json").read_text())
     assert written["p"] == detectkit.welch_t([60, 55, 58], [40, 48, 45]).p
 
