@@ -23,10 +23,14 @@ import sys
 from itertools import repeat
 from pathlib import Path
 
-from . import contentstats, detectkit, graphlab, linkmap, seedscan, synthnet
+# No botsieve code calls a BLAS routine, yet OpenBLAS starts a thread per core
+# with numpy, and the idle ones busy-wait: one thread, unless the caller chose.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .corpus import (ACCOUNTS_FILE, EDGES_FILE, LABELS_FILE, TWEETS_FILE, Corpus,
                      GroupPartition, _csv_header, _csv_row, _iter_lines, _text_lines,
                      cap_tweets, export_corpus, load_corpus, validate)
+from .table import EDGE_KINDS
 
 SUBCOMMANDS = ("ingest", "scan-phrases", "expand-domains", "graph-stats",
                "content-stats", "score", "sweep", "ttest", "synth", "report")
@@ -92,14 +96,17 @@ def _write_files(out: Path, files: dict, export: Path | None) -> None:
                 writer.writerows(content[1])
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return value
+    return parse
 
 
 def _finite_float(text: str) -> float:
@@ -133,7 +140,8 @@ def _rank_rows(ranking) -> list[tuple]:
     return [(r + 1, key, c) for r, (key, c) in enumerate(ranking)]
 
 
-def _sweep_rows(outcome: detectkit.SweepOutcome):
+def _sweep_rows(outcome):
+    """A detectkit.SweepOutcome's curve as CSV rows."""
     return zip(outcome.threshold, outcome.precision, outcome.recall, outcome.f1)
 
 
@@ -163,7 +171,7 @@ def _add_command(sub, name: str, stage, help: str, corpus: bool = False, **defau
         parser.add_argument("--labels", help="labels.csv path")
         parser.add_argument("--aliases", help="JSON file mapping canonical field names "
                             "to the names used in the input files")
-        parser.add_argument("--tweet-cap", type=_positive_int, default=None,
+        parser.add_argument("--tweet-cap", type=_int_at_least(1), default=None,
                             help="keep only each account's N most recent tweets")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default: ${OUTPUT_DIR_ENV} or ./botsieve_out)")
@@ -227,6 +235,7 @@ def _read_scores_csv(path: Path) -> tuple[list[float], list[float]]:
     a row without a finite value and a label of bot or human is a data error
     at its line. A line with no quote, carriage return or NUL is split on its
     commas, as the csv module splits it; any other line goes through it."""
+    from . import detectkit
     labels = (detectkit.BOT_LABEL, detectkit.HUMAN_LABEL)
     lines = _iter_lines(path)
     fields = _csv_header(path, lines, ("value", "label"))
@@ -257,8 +266,10 @@ def _read_scores_csv(path: Path) -> tuple[list[float], list[float]]:
 DETECTOR_OPTIONS = {"stub_key": ("stub",), "scale": ("stub", "replay"), "replay_file": ("replay",)}
 
 
-def _make_detector(args) -> detectkit.TextDetector:
-    """The --detector; an option that detector does not read is a usage error."""
+def _detection(args) -> tuple:
+    """The --detector and the rules a text must pass to be scored; an option
+    that detector does not read is a usage error."""
+    from . import detectkit
     for option, readers in DETECTOR_OPTIONS.items():
         if getattr(args, option) is not None and args.detector not in readers:
             raise UsageError(f"--{option.replace('_', '-')} does not apply to "
@@ -266,15 +277,13 @@ def _make_detector(args) -> detectkit.TextDetector:
     scale = (detectkit.PROBABILITY_SCALE if args.scale == "probability"
              else detectkit.OPENAI_STYLE_SCALE)
     if args.detector == "stub":
-        return detectkit.StubDetector(key=args.stub_key or "", score_scale=scale)
-    if args.detector == "replay":
+        detector = detectkit.StubDetector(key=args.stub_key or "", score_scale=scale)
+    elif args.detector == "replay":
         path = _require(args.replay_file, "--replay-file")
-        return detectkit.ReplayDetector.from_file(path, score_scale=scale)
-    return detectkit.HeuristicDetector()
-
-
-def _qualification_rules(args) -> detectkit.QualificationRules:
-    return detectkit.QualificationRules(
+        detector = detectkit.ReplayDetector.from_file(path, score_scale=scale)
+    else:
+        detector = detectkit.HeuristicDetector()
+    return detector, detectkit.QualificationRules(
         exclude_retweets=not args.include_retweets,
         english_only=not args.any_language,
         strip_reply_handles=not args.keep_handles,
@@ -332,6 +341,7 @@ def _ingest_after_write(args, corpus, out, metrics) -> dict:
 
 
 def _scan_phrases(corpus, args):
+    from . import seedscan
     query = seedscan.load_phrases(_require(args.phrases, "--phrases")) \
         if args.phrases else seedscan.PhraseQuery()
     ruleset = seedscan.load_ruleset(_require(args.rules, "--rules")) \
@@ -361,6 +371,7 @@ def _scan_phrases(corpus, args):
 
 
 def _expand_domains(corpus, args):
+    from . import linkmap
     seeds = linkmap.load_seed_domains(_require(args.seeds, "--seeds")) \
         if args.seeds else linkmap.DEFAULT_SEED_DOMAINS
     expanded = linkmap.expand_by_domains(corpus, seeds)
@@ -382,6 +393,7 @@ def _expand_domains(corpus, args):
 
 
 def _graph_stats(corpus, args):
+    from . import graphlab
     restriction = _group_members(corpus, args.group) if args.group is not None else None
     graph = graphlab.build_graph(corpus, args.kind, node_restriction=restriction)
     summary = graphlab.degree_stats(graph)
@@ -411,6 +423,7 @@ def _graph_stats(corpus, args):
 def _pair_rates(corpus, graph, names) -> tuple:
     """graph-stats' pair-rate step: the pair_rates.csv file of the graph
     between the named groups, one row per ordered pair of groups."""
+    from . import graphlab
     try:
         groups = GroupPartition({n: corpus.partition[n] for n in names})
     except KeyError as exc:
@@ -422,6 +435,7 @@ def _pair_rates(corpus, graph, names) -> tuple:
 
 
 def _content_stats(corpus, args):
+    from . import contentstats
     group = _group_members(corpus, args.group)
     points = contentstats.group_mix_points(corpus, group)
     grid = contentstats.ternary_bin(points.values(), args.resolution)
@@ -446,8 +460,8 @@ def _content_stats(corpus, args):
 
 
 def _score(corpus, args):
-    detector = _make_detector(args)
-    rules = _qualification_rules(args)
+    from . import detectkit
+    detector, rules = _detection(args)
     group = _group_members(corpus, args.group) if args.group else None
     scores, unscored = detectkit.score_corpus(corpus, detector, rules, group=group)
     kept = detectkit.filter_min_qualified(scores.values(), args.min_qualified)
@@ -466,6 +480,7 @@ def _score(corpus, args):
 
 
 def _sweep(_, args):
+    from . import detectkit
     bots, humans = _read_scores_csv(_require(args.scores, "--scores"))
     outcome = detectkit.sweep_threshold(split=(bots, humans))
     summary = {
@@ -487,6 +502,7 @@ def _sweep(_, args):
 
 
 def _ttest(_, args):
+    from . import detectkit
     bots, humans = _read_scores_csv(_require(args.scores, "--scores"))
     result = detectkit.welch_t(bots, humans)
     obj = {**dataclasses.asdict(result), "n_bot": len(bots), "n_human": len(humans)}
@@ -507,6 +523,7 @@ def _typed_like(default, text: str):
 def _read_params_file(path: Path) -> tuple[dict, dict]:
     """Parse key = value generator settings into BotnetParams and HumanParams
     fields; human_* keys and n_humans address the organic side."""
+    from . import synthnet
     defaults = tuple({f.name: f.default for f in dataclasses.fields(cls)}
                      for cls in (synthnet.BotnetParams, synthnet.HumanParams))
     fields: tuple[dict, dict] = ({}, {})
@@ -532,6 +549,7 @@ def _read_params_file(path: Path) -> tuple[dict, dict]:
 
 def _synth_corpus(args) -> Corpus:
     """synth's corpus, generated from --params and the flags that override it."""
+    from . import synthnet
     bot_fields, human_fields = (_read_params_file(_require(args.params, "--params"))
                                 if args.params else ({}, {}))
     for fields, name, value in ((bot_fields, "rng_seed", args.seed),
@@ -569,7 +587,8 @@ def _report(corpus, args):
     """Every figure and table file over one load. Where a file is another
     stage's file, or one led by an edge_kind/group column, it takes that
     stage's rows."""
-    detector = _make_detector(args)
+    from . import detectkit, graphlab, linkmap
+    detector, rules = _detection(args)
     bot, human = args.bot_group, args.human_group
     # A corpus without labels reports two empty groups.
     members = {name: _group_members(corpus, name) if corpus.partition.names else []
@@ -582,7 +601,7 @@ def _report(corpus, args):
         for name in (bot, human)})}
 
     degrees = []
-    for kind in graphlab.EDGE_KINDS if members[bot] else ():
+    for kind in EDGE_KINDS if members[bot] else ():
         graph_files, stats = _graph_stats(corpus, _with(args, kind=kind, group=bot,
                                                         pair_groups=None))
         degrees.append((kind, graph_files["degree_histogram"]))
@@ -625,7 +644,6 @@ def _report(corpus, args):
 
     sweep_rows = []
     if members[bot] and members[human]:
-        rules = _qualification_rules(args)
         split = []
         for name in (bot, human):
             scores, _ = detectkit.score_corpus(corpus, detector, rules, group=members[name])
@@ -663,12 +681,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "expand-domains", _expand_domains,
                      "expand candidate accounts by seed domains", corpus=True)
     p.add_argument("--seeds", help="seeds.txt (one domain per line)")
-    p.add_argument("--top", type=_positive_int, default=10,
+    p.add_argument("--top", type=_int_at_least(1), default=10,
                    help="domains to keep in domain_freq.csv")
 
     p = _add_command(sub, "graph-stats", _graph_stats, "interaction-graph metrics",
                      corpus=True)
-    p.add_argument("--kind", choices=graphlab.EDGE_KINDS, default="follow")
+    p.add_argument("--kind", choices=EDGE_KINDS, default="follow")
     p.add_argument("--group", help="restrict both endpoints to this labeled group")
     p.add_argument("--pair-groups", type=_name_list,
                    help="comma-separated group names for pair rates")
@@ -676,12 +694,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "content-stats", _content_stats,
                      "tweet mix, rankings, profile summaries", corpus=True)
     p.add_argument("--group", help="labeled group (default: every account)")
-    p.add_argument("--resolution", type=_positive_int, default=20)
-    p.add_argument("--top", type=_positive_int, default=10)
+    p.add_argument("--resolution", type=_int_at_least(1), default=20)
+    p.add_argument("--top", type=_int_at_least(1), default=10)
 
     p = _add_command(sub, "score", _score, "run a text detector over accounts", corpus=True)
     p.add_argument("--group", help="labeled group (default: every account)")
-    p.add_argument("--min-qualified", type=_positive_int, default=1)
+    p.add_argument("--min-qualified", type=_int_at_least(1), default=1)
     _add_detector_args(p)
 
     p = _add_command(sub, "sweep", _sweep, "F1-maximizing threshold sweep over labeled scores")
@@ -694,9 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
                      load=_synth_corpus, after_write=_synth_after_write,
                      export_to=lambda args, out: out)
     p.add_argument("--preset", choices=("fox8",), default="fox8")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-bots", type=int, default=None)
-    p.add_argument("--n-humans", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    p.add_argument("--n-bots", type=_int_at_least(2), default=None)
+    p.add_argument("--n-humans", type=_int_at_least(0), default=None)
     p.add_argument("--params", help="key=value generator settings file "
                    "(human_* keys address the organic side)")
 
@@ -704,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
                      load=_load_report_corpus)
     p.add_argument("--bot-group", default="bot")
     p.add_argument("--human-group", default="human")
-    p.add_argument("--resolution", type=_positive_int, default=20)
-    p.add_argument("--top", type=_positive_int, default=10)
+    p.add_argument("--resolution", type=_int_at_least(1), default=20)
+    p.add_argument("--top", type=_int_at_least(1), default=10)
     p.add_argument("--recall-scores", help="CSV with value,label for the recall harness")
     p.add_argument("--recall-threshold", type=_finite_float, default=2.5)
     _add_detector_args(p)

@@ -18,8 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import REPLY, RETWEET, Corpus, GroupPartition
-
-EDGE_KINDS = ("follow", "reply", "retweet")
+from .table import EDGE_KINDS
 
 
 class CodedEdges(NamedTuple):

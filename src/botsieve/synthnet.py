@@ -136,6 +136,8 @@ class BotnetParams:
     def __post_init__(self):
         if self.n_bots < 2:
             raise ValueError("n_bots must be >= 2")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("seed_domain_share", "self_reveal_rate",
                      "within_reply_pair_rate", "quote_fraction"):
             value = getattr(self, name)
@@ -165,6 +167,8 @@ class HumanParams:
     def __post_init__(self):
         if self.n_humans < 0:
             raise ValueError("n_humans must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ import numpy as np
 KINDS = ("original", "reply", "retweet", "quote")
 ORIGINAL, REPLY, RETWEET, QUOTE = range(len(KINDS))
 VALID_KINDS = frozenset(KINDS)
+# Interaction kinds a graph is built over (graphlab.build_graph).
+EDGE_KINDS = ("follow", "reply", "retweet")
 
 # Tweet instants are stored as UTC microseconds since the epoch.
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)

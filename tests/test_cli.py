@@ -384,6 +384,25 @@ def test_non_positive_counts_are_usage_errors_before_loading(capsys, tmp_path, a
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--n-bots", "-5"), ("--n-bots", "1"),
+                                        ("--n-humans", "-1")])
+def test_bad_synth_flags_are_usage_errors_naming_the_flag(capsys, tmp_path, flag, value):
+    out = tmp_path / "o"
+    assert run(["synth", flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: argument {flag}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["rng_seed", "human_rng_seed"])
+def test_negative_seed_in_a_params_file_is_a_data_error_naming_it(capsys, tmp_path, key):
+    params = tmp_path / "gen.conf"
+    params.write_text(f"n_bots = 6\nn_humans = 3\nfollow_degree_mean = 2\n{key} = -1\n")
+    out = tmp_path / "o"
+    assert run(["synth", "--params", str(params), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "data error: rng_seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("corpus", ["synth", "missing"])
 def test_report_with_one_group_as_bot_and_human_is_a_usage_error(capsys, synth_dir, tmp_path,
                                                                    corpus):
@@ -803,51 +822,97 @@ def test_shared_group_label_makes_synth_exit_2_and_write_nothing(capsys, tmp_pat
     assert not out.exists()
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, botsieve.cli; print('scipy.stats' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child_env(environ=os.environ) -> dict:
+    """``environ`` with src/ leading PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [str(SRC), environ.get("PYTHONPATH")]))
+    return {**environ, "PYTHONPATH": path}
+
+
+def _fresh_python(code: str, env=None) -> str:
+    """The stripped stdout of ``code`` run in a new interpreter that imports src/."""
+    result = subprocess.run([sys.executable, "-c", code], env=env or _child_env(),
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def _run_in_fresh_python(runs, loaded: str, env=None) -> str:
+    """Each argv of ``runs`` through cli.run in a new interpreter; prints the
+    exit codes and the value of the expression ``loaded``."""
+    return _fresh_python("import os, sys; from botsieve.cli import run\n"
+                         f"codes = [run(argv) for argv in {runs!r}]\n"
+                         f"print(codes, {loaded})", env)
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    code = "import sys, botsieve.cli; print('scipy.stats' in sys.modules)"
+    assert _fresh_python(code) == "False"
 
 
 def test_graph_stats_and_report_load_no_scipy_module(tiny_dir, tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     corpus = ["--corpus-dir", str(tiny_dir)]
     runs = [["graph-stats", *corpus, "--kind", "reply", "--pair-groups", "bot,human",
              "--out", str(tmp_path / "graph")],
             ["report", *corpus, "--out", str(tmp_path / "report")]]
-    code = ("import sys; from botsieve.cli import run\n"
-            f"codes = [run(argv) for argv in {runs!r}]\n"
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[0, 0] []"
+    assert _run_in_fresh_python(runs, SCIPY_LOADED) == "[0, 0] []"
+
+
+def _labelled_scores(tmp_path) -> Path:
+    scores = tmp_path / "scores.csv"
+    scores.write_text("value,label\n60,bot\n55,bot\n58,bot\n40,human\n48,human\n45,human\n")
+    return scores
 
 
 def test_sweep_and_ttest_load_no_scipy_module(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    scores = tmp_path / "scores.csv"
-    scores.write_text("value,label\n60,bot\n55,bot\n58,bot\n40,human\n48,human\n45,human\n")
+    scores = _labelled_scores(tmp_path)
     runs = [["sweep", "--scores", str(scores), "--out", str(tmp_path / "sweep")],
             ["ttest", "--scores", str(scores), "--out", str(tmp_path / "ttest")]]
-    code = ("import sys; from botsieve.cli import run\n"
-            f"codes = [run(argv) for argv in {runs!r}]\n"
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[0, 0] []"
+    assert _run_in_fresh_python(runs, SCIPY_LOADED) == "[0, 0] []"
     written = json.loads((tmp_path / "ttest" / "ttest.json").read_text())
     assert written["p"] == detectkit.welch_t([60, 55, 58], [40, 48, 45]).p
+
+
+STAGE_MODULES = ("detectkit", "graphlab", "contentstats", "linkmap", "seedscan", "synthnet")
+
+
+@pytest.mark.parametrize("commands,unloaded", [(["ingest"], STAGE_MODULES),
+                                               (["sweep", "ttest"], STAGE_MODULES[1:])],
+                         ids=["ingest", "sweep-ttest"])
+def test_a_subcommand_loads_no_other_stage_module(tiny_dir, tmp_path, commands, unloaded):
+    scores = ["--scores", str(_labelled_scores(tmp_path))]
+    inputs = {"ingest": ["--corpus-dir", str(tiny_dir)], "sweep": scores, "ttest": scores}
+    runs = [[command, *inputs[command], "--out", str(tmp_path / command)] for command in commands]
+    names = [f"botsieve.{name}" for name in unloaded]
+    loaded = f"[name for name in {names!r} if name in sys.modules]"
+    assert _run_in_fresh_python(runs, loaded) == f"{[0] * len(runs)} []"
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    code = ("import sys, botsieve\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('botsieve', 'numpy')))")
+    assert _fresh_python(code) == "['botsieve']"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc/self/task and two usable cores")
+@pytest.mark.parametrize("chosen", [None, "2"])
+def test_the_cli_runs_numpy_on_one_blas_thread_unless_the_caller_chose(tmp_path, chosen):
+    # Built explicitly: importing the CLI in this process may have set the variable here.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if chosen is not None:
+        env["OPENBLAS_NUM_THREADS"] = chosen
+    runs = [["ttest", "--scores", str(_labelled_scores(tmp_path)), "--out", str(tmp_path / "t")]]
+    loaded = "os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task'))"
+    codes, value, threads = _run_in_fresh_python(runs, loaded, _child_env(env)).split()
+    assert (codes, value) == ("[0]", chosen or "1")
+    if chosen is None:
+        assert threads == "1"
 
 
 AUX_FILES = {

@@ -153,6 +153,9 @@ def test_param_validation():
         sn.BotnetParams(seed_domain_share=1.5)
     with pytest.raises(ValueError):
         sn.BotnetParams(tweet_mix_means=(50.0, 30.0, 30.0))
+    for params in (sn.BotnetParams, sn.HumanParams):
+        with pytest.raises(ValueError, match="rng_seed"):
+            params(rng_seed=-1)
 
 
 def test_humans_have_no_in_group_interactions():
