@@ -609,7 +609,9 @@ def _report(corpus, args):
         metrics[f"{kind}_largest_wcc"] = stats["largest_wcc_size"]
     files["fig2_degrees"] = ("fig2_degrees.csv", _keyed("edge_kind", DEGREE_COLUMNS, degrees))
 
-    usable = [name for name in corpus.partition.names if len(corpus.partition[name]) >= 2]
+    # Bot, human, then the rest by name, whatever the order of labels.csv.
+    order = sorted(corpus.partition.names, key=lambda name: (name != bot, name != human, name))
+    usable = [name for name in order if len(corpus.partition[name]) >= 2]
     pairs = [(kind, _pair_rates(corpus, graphlab.build_graph(corpus, kind), usable))
              for kind in (("reply", "retweet") if usable else ())]
     files["fig2_pairrates"] = ("fig2_pairrates.csv", _keyed("edge_kind", PAIR_COLUMNS, pairs))

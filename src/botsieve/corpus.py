@@ -913,7 +913,7 @@ def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
     separators (``", "`` and ``": "``) over every field, ``created_at`` as
     ``format_instant``. Edges are ``json.dumps({"source", "target"},
     sort_keys=True)`` lines sorted by (source, target); ``labels.csv`` lists
-    each group's members in sorted order.
+    the groups by name, each group's members in sorted order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -939,7 +939,7 @@ def export_corpus(corpus: Corpus, out_dir) -> dict[str, Path]:
         with open(paths["labels"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["account_id", "group_name"])
-            for name in corpus.partition.names:
+            for name in sorted(corpus.partition.names):
                 for member in sorted(corpus.partition[name]):
                     writer.writerow([member, name])
     return paths

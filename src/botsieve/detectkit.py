@@ -187,8 +187,9 @@ def write_replay_scores(path, text_scores: dict[str, float]) -> Path:
     return path
 
 
-_WORD_RE = re.compile(r"[a-zA-Z']+")
-_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+# A word, captured, or a run of sentence ends, which captures "". No word holds
+# one of ".!?", so each word lies in exactly one sentence.
+_WORD_OR_STOP_RE = re.compile(r"([a-zA-Z']+)|[.!?]+")
 
 _FUNCTION_WORDS = frozenset(
     "the a an and or but if then of to in on at for with as is are was were be "
@@ -211,16 +212,31 @@ class HeuristicDetector(TextDetector):
     score_scale = OPENAI_STYLE_SCALE
 
     def score(self, text: str) -> float:
-        tokens = [t.lower() for t in _WORD_RE.findall(text)]
+        tokens, lengths, n = [], [], 0  # lengths: words of each sentence that has any
+        for word in _WORD_OR_STOP_RE.findall(text):
+            if word:
+                tokens.append(word.lower())
+                n += 1
+            elif n:
+                lengths.append(n)
+                n = 0
+        if n:
+            lengths.append(n)
         if not tokens:
             return 0.0
         repetition = 1.0 - len(set(tokens)) / len(tokens)
         function_load = min(1.0, (sum(t in _FUNCTION_WORDS for t in tokens) / len(tokens)) / 0.6)
-        lengths = [len(_WORD_RE.findall(s)) for s in _SENTENCE_SPLIT_RE.split(text)]
-        lengths = [n for n in lengths if n > 0]
-        if len(lengths) >= 2:
-            arr = np.array(lengths, dtype=float)
-            uniformity = 1.0 / (1.0 + float(arr.std()))
+        m = len(lengths)
+        if m >= 8:
+            uniformity = 1.0 / (1.0 + float(np.array(lengths, dtype=float).std()))
+        elif m >= 2:
+            # np.std's steps in its order: below 8 values numpy adds in turn from
+            # 0.0 (sum() of floats does not on 3.12+); from 8 on it adds pairwise.
+            mean = sum(lengths) / m
+            squares = 0.0
+            for v in lengths:
+                squares += (v - mean) * (v - mean)
+            uniformity = 1.0 / (1.0 + math.sqrt(squares / m))
         else:
             uniformity = 0.5
         blended = 0.35 * repetition + 0.35 * function_load + 0.30 * uniformity

@@ -24,7 +24,13 @@ DEFAULT_PHRASES = ("as an ai language model",)
 
 
 def normalize_text(text: str) -> str:
-    """Canonical match form: NFKC, zero-width stripped, lowercased, spaces collapsed."""
+    """Canonical match form: NFKC, zero-width stripped, lowercased, spaces collapsed.
+
+    ASCII text skips the first two steps: NFKC maps every ASCII string to
+    itself, and every zero-width code point lies outside ASCII.
+    """
+    if text.isascii():
+        return " ".join(text.lower().split())
     text = unicodedata.normalize("NFKC", text)
     text = text.translate(_ZERO_WIDTH)
     return " ".join(text.lower().split())

@@ -328,6 +328,28 @@ def test_report_rerun_byte_identical(capsys, synth_dir, tmp_path):
         assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
 
+def test_label_row_order_changes_no_report_or_export_byte(synth_dir, tmp_path):
+    # synth writes the bot rows first; move the human rows to the top.
+    flipped = tmp_path / "flipped"
+    shutil.copytree(synth_dir, flipped)
+    header, *rows = (synth_dir / "labels.csv").read_text().splitlines(keepends=True)
+    human = [row for row in rows if row.rstrip("\r\n").endswith(",human")]
+    assert human and rows[0] not in human
+    (flipped / "labels.csv").write_text(
+        "".join([header, *human, *(row for row in rows if row not in human)]))
+    written = {}
+    for name, corpus_dir in (("original", synth_dir), ("flipped", flipped)):
+        out = tmp_path / "out" / name
+        for argv in (["report", "--detector", "stub"], ["ingest", "--export"]):
+            assert run(argv + ["--corpus-dir", str(corpus_dir),
+                               "--out", str(out / argv[0])]) == 0
+        written[name] = {path.relative_to(out): path.read_bytes()
+                         for path in sorted(out.rglob("*")) if path.is_file()}
+    assert Path("report", "fig2_pairrates.csv") in written["original"]
+    assert Path("ingest", "corpus", "labels.csv") in written["original"]
+    assert written["flipped"] == written["original"]
+
+
 def test_report_and_stage_subcommands_build_no_tweet_rows(synth_dir, tmp_path, monkeypatch):
     # The stages read the tweet columns. Every Tweet row a corpus builds goes
     # through the table module's Tweet, so a stage that reads corpus.tweets or

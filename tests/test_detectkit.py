@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -116,6 +117,61 @@ def test_heuristic_detector_range_and_determinism():
         assert first == second
         assert 0.0 <= first <= 100.0
     assert detector.score("") == 0.0
+
+
+# Frozen copy of HeuristicDetector.score as it stood when it scanned the text
+# for words, split it into sentences and scanned each sentence again.
+_REF_WORD_RE = re.compile(r"[a-zA-Z']+")
+_REF_SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
+
+
+def ref_heuristic_score(text: str) -> float:
+    tokens = [t.lower() for t in _REF_WORD_RE.findall(text)]
+    if not tokens:
+        return 0.0
+    repetition = 1.0 - len(set(tokens)) / len(tokens)
+    function_load = min(1.0, (sum(t in dk._FUNCTION_WORDS for t in tokens) / len(tokens)) / 0.6)
+    lengths = [len(_REF_WORD_RE.findall(s)) for s in _REF_SENTENCE_SPLIT_RE.split(text)]
+    lengths = [n for n in lengths if n > 0]
+    if len(lengths) >= 2:
+        arr = np.array(lengths, dtype=float)
+        uniformity = 1.0 / (1.0 + float(arr.std()))
+    else:
+        uniformity = 0.5
+    blended = 0.35 * repetition + 0.35 * function_load + 0.30 * uniformity
+    return float(min(100.0, max(0.0, 100.0 * blended)))
+
+
+# Words of ASCII letters and apostrophes, function words (so the function-word
+# load varies), and non-ASCII letters, among them U+212A KELVIN SIGN and U+0130,
+# whose lower() is or holds an ASCII letter.
+_WORDS = st.one_of(st.text(alphabet="abAB'", min_size=1, max_size=5),
+                   st.sampled_from(["the", "The", "it's", "and", "you", "AI"]),
+                   st.text(alphabet="\u212a\u0130\u00e9\u00df\u03a3", min_size=1, max_size=3))
+_SENTENCES = st.builds(
+    lambda words, gap, stops: gap.join(words) + stops,
+    st.lists(_WORDS, max_size=6), st.sampled_from([" ", "  ", "\t", "\n", ""]),
+    st.text(alphabet=".!?", max_size=3))
+_GAPS = st.sampled_from(["", " ", "\n", " \u00a0"])
+
+
+def _uniform_sentences(count: int) -> str:
+    return " ".join(" ".join(["word"] * (1 + i % 3)) + "." for i in range(count))
+
+
+@given(st.one_of(
+    st.builds(lambda parts, gap: gap.join(parts), st.lists(_SENTENCES, max_size=20), _GAPS),
+    st.text(max_size=80)))
+@example("")
+@example("...")
+@example("'")
+@example("a.b")
+@example(_uniform_sentences(7))
+@example(_uniform_sentences(8))
+@example("\u212a\u212a. \u0130t is. K k.")
+@settings(max_examples=600, derandomize=True)
+def test_heuristic_score_equals_the_frozen_three_scan_scorer(text):
+    assert dk.HeuristicDetector().score(text) == ref_heuristic_score(text)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import itertools
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from botsieve import seedscan as ss
@@ -152,6 +152,32 @@ def test_planted_phrase_always_recalled(prefix, suffix, rnd):
 def test_normalization_idempotent(text):
     once = ss.normalize_text(text)
     assert ss.normalize_text(once) == once
+
+
+_REF_ZERO_WIDTH = dict.fromkeys(map(ord, "\u200b\u200c\u200d\u2060\ufeff"))
+
+
+def ref_normalize_text(text: str) -> str:
+    """Frozen copy of normalize_text from before ASCII text skipped NFKC."""
+    text = unicodedata.normalize("NFKC", text).translate(_REF_ZERO_WIDTH)
+    return " ".join(text.lower().split())
+
+
+# ASCII (controls and whitespace included), zero-width code points, fullwidth
+# letters and ligatures, alone and mixed.
+_SPECIALS = "\u200b\u200c\u200d\u2060\ufeff\uff21\uff49\uff41\ufb01\ufb02\u2163\u212a\u00a0\u3000"
+
+
+@given(st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=80),
+    st.text(alphabet=st.one_of(st.characters(max_codepoint=127), st.sampled_from(_SPECIALS)),
+            max_size=80),
+    st.text(max_size=80)))
+@example("As  an\tAI\x1clanguage MODEL")
+@example("\uff21\uff29 \ufb01ne\u200b model")
+@settings(max_examples=400, derandomize=True)
+def test_normalize_text_equals_the_frozen_nfkc_path(text):
+    assert ss.normalize_text(text) == ref_normalize_text(text)
 
 
 def test_phrase_query_validation():
