@@ -155,7 +155,8 @@ _SENTENCES = st.builds(
 _GAPS = st.sampled_from(["", " ", "\n", " \u00a0"])
 
 
-def _uniform_sentences(count: int) -> str:
+def _cycled_sentences(count: int) -> str:
+    """count sentences of 1, 2, 3, 1, ... words."""
     return " ".join(" ".join(["word"] * (1 + i % 3)) + "." for i in range(count))
 
 
@@ -166,8 +167,8 @@ def _uniform_sentences(count: int) -> str:
 @example("...")
 @example("'")
 @example("a.b")
-@example(_uniform_sentences(7))
-@example(_uniform_sentences(8))
+@example(_cycled_sentences(7))
+@example(_cycled_sentences(8))
 @example("\u212a\u212a. \u0130t is. K k.")
 @settings(max_examples=600, derandomize=True)
 def test_heuristic_score_equals_the_frozen_three_scan_scorer(text):
