@@ -403,10 +403,9 @@ def _graph_stats(corpus, args):
         "n_nodes": graph.n_nodes, "n_edges": graph.n_edges,
         "largest_wcc_size": len(graphlab.largest_wcc(graph)),
     }
-    view = graph.coded
     files = {
         "edges": (f"{args.kind}_edges.csv", (("source", "target", "weight"), list(
-            zip(view.nodes[view.source], view.nodes[view.target], view.weight.tolist())))),
+            zip(graph.nodes[graph.source], graph.nodes[graph.target], graph.weight.tolist())))),
         "degree_histogram": (f"{args.kind}_degree_histogram.csv", (
             DEGREE_COLUMNS, [("in", d, c) for d, c in summary.in_histogram.items()]
             + [("out", d, c) for d, c in summary.out_histogram.items()])),

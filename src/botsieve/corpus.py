@@ -752,51 +752,47 @@ def load_corpus(account_path, tweet_path, edge_path=None, label_path=None,
             isinstance(m, dict) and all(isinstance(v, str) for v in m.values())
             for m in aliases.values()):
         raise CorpusError("field aliases must be an object of {canonical: input name} objects")
-    # Loading creates no reference cycles (records hold strings, tuples and
-    # datetimes; the columns hold codes), so a cyclic collection during it
-    # only re-walks the growing heap.
-    with _gc_paused():
-        violations: list[Violation] = []
-        # One object per distinct value for this load only. Keys are only
-        # str and tuples of str, so equal keys are interchangeable (unlike
-        # 1 == 1.0 == True). Called as share(value, value).
-        share = {}.setdefault
+    violations: list[Violation] = []
+    # One object per distinct value for this load only. Keys are only
+    # str and tuples of str, so equal keys are interchangeable (unlike
+    # 1 == 1.0 == True). Called as share(value, value).
+    share = {}.setdefault
 
-        account_path = Path(account_path)
-        tweet_path = Path(tweet_path)
-        accounts, account_lines = _load_jsonl_records(
-            account_path, _parse_account, aliases.get("accounts", {}), violations, share)
-        parse_tweet, coder = _tweet_loader([a.account_id for a in accounts])
-        tweet_ids, tweet_lines = _load_tweets(
-            tweet_path, parse_tweet, coder, aliases.get("tweets", {}), violations)
+    account_path = Path(account_path)
+    tweet_path = Path(tweet_path)
+    accounts, account_lines = _load_jsonl_records(
+        account_path, _parse_account, aliases.get("accounts", {}), violations, share)
+    parse_tweet, coder = _tweet_loader([a.account_id for a in accounts])
+    tweet_ids, tweet_lines = _load_tweets(
+        tweet_path, parse_tweet, coder, aliases.get("tweets", {}), violations)
 
-        edges: set[FollowEdge] = set()
-        if edge_path is not None:
-            edge_path = Path(edge_path)
-            edge_records, edge_lines = _load_jsonl_records(
-                edge_path, _parse_edge, aliases.get("edges", {}), violations, share)
-            for edge, lineno in zip(edge_records, edge_lines):
-                if edge.source == edge.target:
-                    violations.append(Violation("self-follow", file=edge_path.name,
-                                                line=lineno, identifier=edge.source))
-                elif edge in edges:
-                    violations.append(Violation("duplicate-edge", file=edge_path.name, line=lineno,
-                                                identifier=f"{edge.source}->{edge.target}"))
-                else:
-                    edges.add(edge)
+    edges: set[FollowEdge] = set()
+    if edge_path is not None:
+        edge_path = Path(edge_path)
+        edge_records, edge_lines = _load_jsonl_records(
+            edge_path, _parse_edge, aliases.get("edges", {}), violations, share)
+        for edge, lineno in zip(edge_records, edge_lines):
+            if edge.source == edge.target:
+                violations.append(Violation("self-follow", file=edge_path.name,
+                                            line=lineno, identifier=edge.source))
+            elif edge in edges:
+                violations.append(Violation("duplicate-edge", file=edge_path.name, line=lineno,
+                                            identifier=f"{edge.source}->{edge.target}"))
+            else:
+                edges.add(edge)
 
-        known = {a.account_id for a in accounts}
-        partition = GroupPartition()
-        if label_path is not None:
-            partition = _load_labels(Path(label_path), known, violations)
+    known = {a.account_id for a in accounts}
+    partition = GroupPartition()
+    if label_path is not None:
+        partition = _load_labels(Path(label_path), known, violations)
 
-        violations.sort(key=Violation.sort_key)
-        return make_corpus(
-            accounts, coder.finish(tweet_ids), edges, partition,
-            load_report=ValidationReport(tuple(violations)),
-            line_numbers={"accounts": (account_path.name, account_lines),
-                          "tweets": (tweet_path.name, tweet_lines)},
-        )
+    violations.sort(key=Violation.sort_key)
+    return make_corpus(
+        accounts, coder.finish(tweet_ids), edges, partition,
+        load_report=ValidationReport(tuple(violations)),
+        line_numbers={"accounts": (account_path.name, account_lines),
+                      "tweets": (tweet_path.name, tweet_lines)},
+    )
 
 
 def validate(corpus: Corpus) -> ValidationReport:

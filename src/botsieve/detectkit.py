@@ -527,8 +527,9 @@ def welch_t(sample_a, sample_b) -> WelchResult:
     Two constant samples raise ValueError, as do samples whose statistics
     overflow to a non-finite value.
     """
-    a = np.asarray(list(sample_a), dtype=float)
-    b = np.asarray(list(sample_b), dtype=float)
+    # Sorted, so the floating-point sums do not depend on the input order.
+    a = np.sort(np.asarray(list(sample_a), dtype=float))
+    b = np.sort(np.asarray(list(sample_b), dtype=float))
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
     # t and df do not change when both samples are scaled alike. Where the

@@ -3,15 +3,14 @@
 Builds directed follow/reply/retweet graphs over account identifiers and
 computes the numbers that expose engineered coordination: degree summaries,
 the largest weakly connected component, and within/cross-group pair
-interaction rates. Each metric reads one coded view of the graph's edges,
-positions in its sorted node list, and is a few array operations with no
-Python loop over the edges.
+interaction rates. A graph is its sorted node identifiers and its edges as
+arrays of positions in them, and each metric is a few array operations with
+no Python loop over the edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -21,25 +20,17 @@ from .corpus import REPLY, RETWEET, Corpus, GroupPartition
 from .table import EDGE_KINDS
 
 
-class CodedEdges(NamedTuple):
-    """Edges as positions in ``nodes``, the sorted node identifiers (an object
-    array), in (source, target) order; -1 marks an endpoint outside ``nodes``."""
+class InteractionGraph(NamedTuple):
+    """Directed graph for one interaction kind; edge weights count repeats.
+    ``nodes`` holds the sorted node identifiers (an object array); ``source``
+    and ``target`` are positions in it, in (source, target) order, and -1
+    marks an end outside ``nodes``. Build one with ``from_edges``."""
 
+    edge_kind: str
     nodes: np.ndarray
     source: np.ndarray
     target: np.ndarray
     weight: np.ndarray
-
-
-@dataclass(frozen=True)
-class InteractionGraph:
-    """Directed graph for one interaction kind; edge weights count repeats.
-    ``coded`` is built from ``nodes`` and ``edges`` on first use, so treat them
-    as read-only. Its edges within ``nodes`` come in (source, target) identifier order."""
-
-    edge_kind: str
-    nodes: frozenset[str]
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
     @property
     def n_nodes(self) -> int:
@@ -47,17 +38,19 @@ class InteractionGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.weight)
 
-    @cached_property
-    def coded(self) -> CodedEdges:
-        nodes = np.fromiter(sorted(self.nodes), dtype=object, count=len(self.nodes))
+    @classmethod
+    def from_edges(cls, edge_kind: str, nodes, edges: dict) -> InteractionGraph:
+        """The graph over the distinct identifiers ``nodes`` whose edges are
+        ``edges``, a (source, target) -> weight dict."""
+        nodes = np.fromiter(sorted(nodes), dtype=object, count=len(nodes))
         position = dict(zip(nodes, range(len(nodes))))
-        ends = np.fromiter(map(position.get, chain.from_iterable(self.edges), repeat(-1)),
-                           dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2)
-        weight = np.fromiter(self.edges.values(), dtype=np.int64, count=len(self.edges))
+        ends = np.fromiter(map(position.get, chain.from_iterable(edges), repeat(-1)),
+                           dtype=np.int64, count=2 * len(edges)).reshape(-1, 2)
+        weight = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
         order = np.lexsort((ends[:, 1], ends[:, 0]))
-        return CodedEdges(nodes, ends[order, 0], ends[order, 1], weight[order])
+        return cls(edge_kind, nodes, ends[order, 0], ends[order, 1], weight[order])
 
 
 def build_graph(corpus: Corpus, edge_kind: str,
@@ -99,7 +92,7 @@ def build_graph(corpus: Corpus, edge_kind: str,
 
     nodes = (restriction if restriction is not None
              else frozenset(corpus.accounts).union(chain.from_iterable(edges)))
-    return InteractionGraph(edge_kind=edge_kind, nodes=nodes, edges=edges)
+    return InteractionGraph.from_edges(edge_kind, nodes, edges)
 
 
 @dataclass(frozen=True)
@@ -118,12 +111,11 @@ def degree_stats(graph: InteractionGraph) -> DegreeSummary:
     Every node counts, including degree-0 ones; over a closed node set the
     two means coincide (each edge contributes one in- and one out-degree).
     """
-    if not graph.nodes:
+    if not graph.n_nodes:
         return DegreeSummary(0.0, 0.0, 0.0, 0.0, {}, {})
-    view = graph.coded
     # Position -1 (outside the node set) lands in bin 0, which is dropped.
-    ins, outs = (np.bincount(ends + 1, minlength=len(view.nodes) + 1)[1:]
-                 for ends in (view.target, view.source))
+    ins, outs = (np.bincount(ends + 1, minlength=graph.n_nodes + 1)[1:]
+                 for ends in (graph.target, graph.source))
     return DegreeSummary(
         mean_in=float(ins.mean()), sd_in=float(ins.std()),
         mean_out=float(outs.mean()), sd_out=float(outs.std()),
@@ -137,22 +129,21 @@ def _histogram(degrees: np.ndarray) -> dict[int, int]:
 def largest_wcc(graph: InteractionGraph) -> frozenset[str]:
     """Largest weakly connected component; size ties go to the component
     containing the smallest identifier."""
-    if not graph.nodes:
+    if not graph.n_nodes:
         return frozenset()
-    view = graph.coded
-    inside = (view.source >= 0) & (view.target >= 0)
-    a, b = view.source[inside], view.target[inside]
+    inside = (graph.source >= 0) & (graph.target >= 0)
+    a, b = graph.source[inside], graph.target[inside]
     # Union-find on arrays: each round hooks the larger of every edge's two
     # roots under the smaller, then jumps pointers until every label is a root.
     # A component's root is then its smallest position, that is its smallest
     # identifier, so the first maximum of the sizes keeps the tie rule.
-    label = np.arange(len(view.nodes))
+    label = np.arange(graph.n_nodes)
     while not np.array_equal(label[a], label[b]):
         np.minimum.at(label, np.maximum(label[a], label[b]), np.minimum(label[a], label[b]))
         jumped = label[label]
         while not np.array_equal(jumped, label):
             label, jumped = jumped, jumped[jumped]
-    return frozenset(view.nodes[label == np.bincount(label).argmax()])
+    return frozenset(graph.nodes[label == np.bincount(label).argmax()])
 
 
 @dataclass(frozen=True)
@@ -178,26 +169,25 @@ def pair_rate_matrix(graph: InteractionGraph, partition: GroupPartition) -> Pair
     names = partition.names
     if not names:
         raise ValueError("partition has no groups")
-    view = graph.coded
     # Group index per node position; k is no group, and the last slot is
     # read by position -1. A member of two groups counts in the later one.
     k = len(names)
-    group = np.full(len(view.nodes) + 1, k)
+    group = np.full(graph.n_nodes + 1, k)
     sizes = []
     for index, name in enumerate(names):
         members = partition[name]
         if not members:
             raise ValueError(f"group {name!r} is empty")
-        missing = members - graph.nodes
+        missing = members.difference(graph.nodes)
         if missing:
             raise ValueError(f"group {name!r} has members outside the graph, "
                              f"e.g. {sorted(missing)[0]!r}")
         if len(members) < 2:
             raise ValueError(f"group {name!r} has fewer than 2 members; within-rate undefined")
         sizes.append(len(members))
-        group[np.searchsorted(view.nodes, np.fromiter(members, object, len(members)))] = index
+        group[np.searchsorted(graph.nodes, np.fromiter(members, object, len(members)))] = index
 
-    cells = group[view.source] * (k + 1) + group[view.target]
+    cells = group[graph.source] * (k + 1) + group[graph.target]
     counts = np.bincount(cells, minlength=(k + 1) ** 2).reshape(k + 1, k + 1)[:k, :k]
     sizes = np.array(sizes)
     return PairRateMatrix(groups=names, rates=counts / (np.outer(sizes, sizes) - np.diag(sizes)),

@@ -47,3 +47,11 @@ def parse_tweet(obj):
     """One tweet object read as the loader reads it, as a ``Tweet`` record."""
     parse, coder = _tweet_loader(())
     return coder.finish([parse(obj, {}.setdefault)]).rows([0])[0]
+
+
+def edges_of(graph):
+    """A graph's edges as a (source, target) -> weight dict of identifiers;
+    every end must lie in the graph's node set."""
+    assert (graph.source >= 0).all() and (graph.target >= 0).all()
+    return dict(zip(zip(graph.nodes[graph.source].tolist(), graph.nodes[graph.target].tolist()),
+                    graph.weight.tolist()))

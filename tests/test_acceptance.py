@@ -182,8 +182,8 @@ def test_criterion_7b_wcc_equals_brute_force():
             for _ in range(int(rng.integers(0, 2 * n + 1)))
         }
         edges = {(s, t) for s, t in edges if s != t}
-        graph = graphlab.InteractionGraph("follow", frozenset(nodes),
-                                          {e: 1 for e in edges})
+        graph = graphlab.InteractionGraph.from_edges("follow", frozenset(nodes),
+                                                     {e: 1 for e in edges})
         components = _closure_components(nodes, edges)
         biggest = max(len(c) for c in components)
         expected = min((c for c in components if len(c) == biggest), key=min)
@@ -228,7 +228,7 @@ def test_criterion_8_conservation_and_invariants(tmp_path):
         n = int(rng.integers(1, 30))
         edges = {(f"n{rng.integers(n)}", f"n{rng.integers(n)}") for _ in range(2 * n)}
         edges = {(s, t) for s, t in edges if s != t}
-        graph = graphlab.InteractionGraph(
+        graph = graphlab.InteractionGraph.from_edges(
             "follow", frozenset(f"n{i}" for i in range(n)), {e: 1 for e in edges})
         summary = graphlab.degree_stats(graph)
         assert sum(d * c for d, c in summary.in_histogram.items()) == len(edges)

@@ -71,7 +71,7 @@ def test_empty_edge_file(tmp_path):
     corpus = cp.load_corpus(paths["accounts"], paths["tweets"], paths["edges"])
     assert corpus.follow_edges == frozenset()
     from botsieve.graphlab import build_graph
-    assert build_graph(corpus, "follow").edges == {}
+    assert build_graph(corpus, "follow").n_edges == 0
 
 
 def test_missing_author_id_reported_with_line(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from botsieve import graphlab as gl
 from botsieve.corpus import GroupPartition
-from conftest import account, corpus_of, tweet
+from conftest import account, corpus_of, edges_of, tweet
 
 
 def reply_corpus():
@@ -17,14 +17,14 @@ def reply_corpus():
 
 def test_reply_edges_accumulate_weight():
     graph = gl.build_graph(reply_corpus(), "reply")
-    assert graph.edges[("A", "B")] == 3
-    assert graph.edges[("A", "C")] == 1
+    assert edges_of(graph)[("A", "B")] == 3
+    assert edges_of(graph)[("A", "C")] == 1
 
 
 def test_restriction_drops_outside_edges():
     graph = gl.build_graph(reply_corpus(), "reply", node_restriction={"A", "B"})
-    assert set(graph.edges) == {("A", "B")}
-    assert graph.nodes == frozenset({"A", "B"})
+    assert set(edges_of(graph)) == {("A", "B")}
+    assert frozenset(graph.nodes) == frozenset({"A", "B"})
 
 
 def test_quote_excluded_from_retweet_graph():
@@ -34,20 +34,20 @@ def test_quote_excluded_from_retweet_graph():
          tweet("t2", "A", kind="retweet", ref="B")],
     )
     graph = gl.build_graph(corpus, "retweet")
-    assert graph.edges == {("A", "B"): 1}
+    assert edges_of(graph) == {("A", "B"): 1}
 
 
 def test_follow_graph_from_edges_and_self_loop_dropped():
     corpus = corpus_of([account("A"), account("B")], [], edges=[("A", "B")])
     graph = gl.build_graph(corpus, "follow")
-    assert graph.edges == {("A", "B"): 1}
-    assert graph.nodes == frozenset({"A", "B"})
+    assert edges_of(graph) == {("A", "B"): 1}
+    assert frozenset(graph.nodes) == frozenset({"A", "B"})
 
 
 def test_dangling_author_tweets_skipped():
     corpus = corpus_of([account("A")], [tweet("t1", "ghost", kind="reply", reply_to="A")])
     graph = gl.build_graph(corpus, "reply")
-    assert graph.edges == {}
+    assert edges_of(graph) == {}
 
 
 def test_bad_kind_rejected():
@@ -78,7 +78,7 @@ def test_degree_stats_complete_digraph():
 
 
 def test_degree_stats_empty_graph():
-    graph = gl.InteractionGraph("follow", frozenset(), {})
+    graph = gl.InteractionGraph.from_edges("follow", frozenset(), {})
     summary = gl.degree_stats(graph)
     assert summary.mean_in == 0.0
     assert summary.in_histogram == {}
@@ -95,7 +95,7 @@ def test_degree_counts_distinct_edges_not_weights():
 def test_handshake_identity(pairs):
     edges = {(f"n{u}", f"n{v}") for u, v in pairs if u != v}
     nodes = frozenset(f"n{i}" for i in range(10))
-    graph = gl.InteractionGraph("follow", nodes, {e: 1 for e in edges})
+    graph = gl.InteractionGraph.from_edges("follow", nodes, {e: 1 for e in edges})
     summary = gl.degree_stats(graph)
     total_in = sum(d * c for d, c in summary.in_histogram.items())
     total_out = sum(d * c for d, c in summary.out_histogram.items())
@@ -116,11 +116,11 @@ def test_restriction_equals_deleting_nodes(pairs, keep):
     restricted = gl.build_graph(corpus, "reply", node_restriction=restriction)
     full = gl.build_graph(corpus, "reply")
     expected = {
-        edge: w for edge, w in full.edges.items()
+        edge: w for edge, w in edges_of(full).items()
         if edge[0] in restriction and edge[1] in restriction
     }
-    assert restricted.edges == expected
-    assert restricted.nodes == frozenset(restriction)
+    assert edges_of(restricted) == expected
+    assert frozenset(restricted.nodes) == frozenset(restriction)
 
 
 def test_largest_wcc_picks_biggest():
@@ -132,13 +132,13 @@ def test_largest_wcc_picks_biggest():
 
 
 def test_largest_wcc_singleton_and_empty():
-    graph = gl.InteractionGraph("follow", frozenset({"A"}), {})
+    graph = gl.InteractionGraph.from_edges("follow", frozenset({"A"}), {})
     assert gl.largest_wcc(graph) == frozenset({"A"})
-    assert gl.largest_wcc(gl.InteractionGraph("follow", frozenset(), {})) == frozenset()
+    assert gl.largest_wcc(gl.InteractionGraph.from_edges("follow", frozenset(), {})) == frozenset()
 
 
 def test_largest_wcc_tie_breaks_to_smallest_member():
-    graph = gl.InteractionGraph(
+    graph = gl.InteractionGraph.from_edges(
         "follow", frozenset({"a", "d", "b", "c"}), {("d", "c"): 1, ("a", "b"): 1})
     assert gl.largest_wcc(graph) == frozenset({"a", "b"})
 
@@ -179,7 +179,7 @@ def test_wcc_agrees_with_brute_force_on_random_digraphs():
             for _ in range(n_edges)
         }
         edges = {(s, t) for s, t in edges if s != t}
-        graph = gl.InteractionGraph("follow", frozenset(nodes), {e: 1 for e in edges})
+        graph = gl.InteractionGraph.from_edges("follow", frozenset(nodes), {e: 1 for e in edges})
         components = brute_force_components(nodes, edges)
         best_size = max(len(c) for c in components)
         candidates = [c for c in components if len(c) == best_size]
@@ -250,5 +250,5 @@ def test_largest_wcc_on_a_long_shuffled_path():
     path = [f"p{i:05d}" for i in rng.permutation(20_000)]
     edges = {(s, t): 1 for s, t in zip(path, path[1:])}
     edges.update({("a", "b"): 1, ("c", "b"): 2})
-    graph = gl.InteractionGraph("follow", frozenset(path) | {"a", "b", "c"}, edges)
+    graph = gl.InteractionGraph.from_edges("follow", frozenset(path) | {"a", "b", "c"}, edges)
     assert gl.largest_wcc(graph) == frozenset(path)

@@ -162,7 +162,7 @@ def test_humans_have_no_in_group_interactions():
     humans = sn.generate_humans(sn.HumanParams(n_humans=200, rng_seed=6))
     members = humans.partition["human"]
     graph = graphlab.build_graph(humans, "reply", node_restriction=members)
-    rate = len(graph.edges) / (len(members) * (len(members) - 1))
+    rate = graph.n_edges / (len(members) * (len(members) - 1))
     assert rate < 0.0005
     assert humans.follow_edges == frozenset()
 
