@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from array import array
 from itertools import repeat
 from pathlib import Path
 
@@ -27,9 +28,8 @@ from pathlib import Path
 # with numpy, and the idle ones busy-wait: one thread, unless the caller chose.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .corpus import (ACCOUNTS_FILE, EDGES_FILE, LABELS_FILE, TWEETS_FILE, Corpus,
-                     GroupPartition, _csv_header, _csv_row, _iter_lines, _text_lines,
-                     cap_tweets, export_corpus, load_corpus, validate)
+# The corpus module is imported by the stages that load or write a corpus only.
+from .readers import _csv_header, _csv_row, _iter_lines, _text_lines
 from .table import EDGE_KINDS
 
 SUBCOMMANDS = ("ingest", "scan-phrases", "expand-domains", "graph-stats",
@@ -76,6 +76,7 @@ def _write_files(out: Path, files: dict, export: Path | None) -> None:
              for name, (_, content) in files.items() if isinstance(content, dict)}
     paths = [out / file_name for file_name, _ in files.values()]
     if export is not None:
+        from .corpus import ACCOUNTS_FILE, EDGES_FILE, LABELS_FILE, TWEETS_FILE
         paths += [export / name for name in (ACCOUNTS_FILE, TWEETS_FILE, EDGES_FILE, LABELS_FILE)]
     taken = [path for path in paths if path.is_dir()]
     if taken:
@@ -134,6 +135,8 @@ TERNARY_COLUMNS = ("i", "j", "k", "count")
 HASHTAG_COLUMNS = ("rank", "hashtag", "count")
 AMPLIFIED_COLUMNS = ("rank", "account_id", "count")
 SWEEP_COLUMNS = ("threshold", "precision", "recall", "f1")
+# Curve rows made into Python floats at a time; see _sweep_rows.
+_SWEEP_CHUNK = 4096
 
 
 def _rank_rows(ranking) -> list[tuple]:
@@ -141,8 +144,10 @@ def _rank_rows(ranking) -> list[tuple]:
 
 
 def _sweep_rows(outcome):
-    """A detectkit.SweepOutcome's curve as CSV rows."""
-    return zip(outcome.threshold, outcome.precision, outcome.recall, outcome.f1)
+    """A detectkit.SweepOutcome's curve as CSV rows, made _SWEEP_CHUNK at a time."""
+    columns = (outcome.threshold, outcome.precision, outcome.recall, outcome.f1)
+    for start in range(0, len(outcome.threshold), _SWEEP_CHUNK):
+        yield from zip(*(column[start:start + _SWEEP_CHUNK].tolist() for column in columns))
 
 
 def _keyed(column: str, columns, parts) -> tuple:
@@ -201,7 +206,9 @@ def _optional(path_str: str | None, default: Path | None) -> Path | None:
     return None
 
 
-def _load_corpus_from_args(args) -> Corpus:
+def _load_corpus_from_args(args):
+    from .corpus import (ACCOUNTS_FILE, EDGES_FILE, LABELS_FILE, TWEETS_FILE, cap_tweets,
+                         load_corpus)
     base = Path(args.corpus_dir) if args.corpus_dir else None
     accounts = args.accounts or (base / ACCOUNTS_FILE if base else None)
     tweets = args.tweets or (base / TWEETS_FILE if base else None)
@@ -222,7 +229,7 @@ def _load_corpus_from_args(args) -> Corpus:
     return corpus
 
 
-def _group_members(corpus: Corpus, name: str | None):
+def _group_members(corpus, name: str | None):
     if name is None:
         return sorted(corpus.accounts)
     if name not in corpus.partition:
@@ -230,11 +237,12 @@ def _group_members(corpus: Corpus, name: str | None):
     return sorted(corpus.partition[name])
 
 
-def _read_scores_csv(path: Path) -> tuple[list[float], list[float]]:
-    """The bot and the human values of a value,label CSV, each in file order;
-    a row without a finite value and a label of bot or human is a data error
-    at its line. A line with no quote, carriage return or NUL is split on its
-    commas, as the csv module splits it; any other line goes through it."""
+def _read_scores_csv(path: Path) -> tuple[array, array]:
+    """The bot and the human values of a value,label CSV, each an array("d")
+    in file order; a row without a finite value and a label of bot or human is
+    a data error at its line. A line with no quote, carriage return or NUL is
+    split on its commas, as the csv module splits it; any other line goes
+    through it."""
     from . import detectkit
     labels = (detectkit.BOT_LABEL, detectkit.HUMAN_LABEL)
     lines = _iter_lines(path)
@@ -242,7 +250,7 @@ def _read_scores_csv(path: Path) -> tuple[list[float], list[float]]:
     width = len(fields)
     # Each name's last column, as the dict of a row at least as wide as the header holds it.
     at_value, at_label = (width - 1 - fields[::-1].index(name) for name in ("value", "label"))
-    values: dict[str, list[float]] = {label: [] for label in labels}
+    values = {label: array("d") for label in labels}
     for lineno, text in lines:
         plain = text is not None and '"' not in text and "\r" not in text and "\0" not in text
         row = text.split(",") if plain else _csv_row(text)
@@ -308,6 +316,7 @@ def _add_detector_args(parser):
 # Stages
 
 def _ingest(corpus, args):
+    from .corpus import validate
     report = validate(corpus)
     files = {
         "validation_report": ("validation_report.csv", (
@@ -332,6 +341,7 @@ def _ingest(corpus, args):
 
 def _ingest_after_write(args, corpus, out, metrics) -> dict:
     """ingest's own step once its report is written: --export, then --strict."""
+    from .corpus import export_corpus
     exported = export_corpus(corpus, args.export_to(args, out)) if args.export else {}
     n_load = len(corpus.load_report)
     if args.strict and metrics["n_violations"]:
@@ -423,6 +433,7 @@ def _pair_rates(corpus, graph, names) -> tuple:
     """graph-stats' pair-rate step: the pair_rates.csv file of the graph
     between the named groups, one row per ordered pair of groups."""
     from . import graphlab
+    from .corpus import GroupPartition
     try:
         groups = GroupPartition({n: corpus.partition[n] for n in names})
     except KeyError as exc:
@@ -546,7 +557,7 @@ def _read_params_file(path: Path) -> tuple[dict, dict]:
     return fields
 
 
-def _synth_corpus(args) -> Corpus:
+def _synth_corpus(args):
     """synth's corpus, generated from --params and the flags that override it."""
     from . import synthnet
     bot_fields, human_fields = (_read_params_file(_require(args.params, "--params"))
@@ -571,11 +582,12 @@ def _synth(corpus, args):
 
 
 def _synth_after_write(args, corpus, out, metrics) -> dict:
+    from .corpus import export_corpus
     return {name: str(path) for name, path in
             export_corpus(corpus, args.export_to(args, out)).items()}
 
 
-def _load_report_corpus(args) -> Corpus:
+def _load_report_corpus(args):
     """report's corpus; one group named as both bot and human is a usage error."""
     if args.bot_group == args.human_group:
         raise UsageError(f"--bot-group and --human-group are both {args.bot_group!r}")

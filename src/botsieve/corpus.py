@@ -29,14 +29,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from stat import S_ISREG
 
 import numpy as np
 
-# The tweet record, its kind codes and its table are public here too.
+# CorpusError, the tweet record, its kind codes and its table are public here too.
+from .readers import CorpusError, _csv_records, _iter_lines
 from .table import (_CODED, _EPOCH, _MICROSECOND, KINDS, ORIGINAL, QUOTE, REPLY, RETWEET,
                     VALID_KINDS, Tweet, TweetRows, TweetTable, _join, _row_coder)
 
@@ -67,10 +67,6 @@ _encode_str = json.encoder.encode_basestring
 # Tweet rows export_corpus formats at a time; see _write_tweets. Larger chunks
 # export no faster, and their temporaries outlive the export as freed heap.
 _EXPORT_CHUNK = 1024
-
-
-class CorpusError(ValueError):
-    """Fatal input problem: unreadable file, duplicate id, broken schema."""
 
 
 @contextmanager
@@ -260,7 +256,8 @@ class Corpus:
     @property
     def tweets_by_author(self) -> dict[str, tuple[str, ...]]:
         """Tweet ids per author, in the index's order, authors sorted by id."""
-        authors = sorted(self.table.account_ids[code] for code in np.unique(self.table.author))
+        codes = np.flatnonzero(np.bincount(self.table.author))  # the codes that occur, sorted
+        authors = sorted(self.table.account_ids[code] for code in codes.tolist())
         return {author: tuple(self.table.values("tweet_id", self.rows_of(author)))
                 for author in authors}
 
@@ -489,28 +486,6 @@ def _parse_edge(obj, share) -> FollowEdge:
     return FollowEdge(share(source, source), share(target, target))
 
 
-def _iter_lines(path: Path, start: int = 0, n_lines: int | None = None):
-    """Yield (line_number, stripped_text_or_None) for each non-blank physical
-    line; None marks a line that is not UTF-8. ``start`` and ``n_lines`` read
-    only the ``n_lines`` lines (all if None) from byte ``start``, a line
-    start, and number them from 1 there."""
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        if start:  # a pipe cannot seek
-            handle.seek(start)
-        for lineno, raw in enumerate(islice(handle, n_lines), start=1):
-            try:
-                text = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                yield lineno, None
-                continue
-            if text:
-                yield lineno, text
-
-
 def _read_jsonl(path: Path, parse, aliases, violations, share, start=0, n_lines=None):
     """Parse the lines ``_iter_lines(path, start, n_lines)`` yields into their
     records and an array of their line numbers; ``parse(obj, share)`` returns
@@ -673,40 +648,6 @@ def _load_tweets(path: Path, parse, coder, aliases, violations):
             pipe.close()
     _check_decodable(path.name, len(ids), violations[first:])
     return ids, lines
-
-
-def _text_lines(path):
-    """(line, text) for each line of a list or settings file that is neither
-    blank nor a #-comment; a line that is not UTF-8 is an error at path:line."""
-    for lineno, text in _iter_lines(Path(path)):
-        if text is None:
-            raise CorpusError(f"{path}:{lineno}: not UTF-8")
-        if not text.startswith("#"):
-            yield lineno, text
-
-
-def _csv_row(text: str | None) -> list[str]:
-    """One CSV record on one line; [] when the line is not UTF-8 (None) or not CSV."""
-    try:
-        return next(csv.reader([text]))
-    except csv.Error:
-        return []
-
-
-def _csv_header(path, lines, required: tuple[str, ...]) -> list[str]:
-    """The column names on the first of ``lines``; they must hold ``required``."""
-    fields = _csv_row(next(lines, (None, None))[1])
-    if not set(required) <= set(fields):
-        raise CorpusError(f"{path}: header must contain {','.join(required)}")
-    return fields
-
-
-def _csv_records(path, required: tuple[str, ...]):
-    """(line, {column: value}) for each line after a header that names every
-    ``required`` column; the dict is empty when a line is not UTF-8 or not CSV."""
-    lines = _iter_lines(Path(path))
-    fields = _csv_header(path, lines, required)
-    return ((lineno, dict(zip(fields, _csv_row(text)))) for lineno, text in lines)
 
 
 def _load_labels(path: Path, known_accounts, violations) -> GroupPartition:

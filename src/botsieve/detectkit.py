@@ -13,7 +13,6 @@ raw text with no external service.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -22,10 +21,15 @@ from enum import Enum
 from functools import cached_property
 from itertools import count, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .corpus import RETWEET, Corpus, _iter_lines
+from .readers import _iter_lines
+from .table import RETWEET
+
+if TYPE_CHECKING:
+    from .corpus import Corpus
 
 # ---------------------------------------------------------------------------
 # Qualification and preprocessing
@@ -97,6 +101,7 @@ PROBABILITY_SCALE = (0.0, 1.0)
 
 def text_digest(text: str) -> str:
     """Stable digest keying replay scores: sha256 of the exact UTF-8 text, hex."""
+    import hashlib  # here, not at the top: OpenSSL is loaded only where a digest is taken
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -129,6 +134,7 @@ class StubDetector(TextDetector):
         self.name = name
 
     def score(self, text: str) -> float:
+        import hashlib
         digest = hashlib.sha256(f"{self.key}|{text}".encode("utf-8")).digest()
         unit = int.from_bytes(digest[:8], "big") / 2**64
         low, high = self.score_scale
@@ -397,20 +403,22 @@ class ThresholdResult:
     recall: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepOutcome:
-    """The F1-best candidate, and the curve as one column per field."""
+    """The F1-best candidate (Python floats), and the curve as one read-only
+    float64 array per field."""
 
     best: ThresholdResult
-    threshold: tuple[float, ...]
-    f1: tuple[float, ...]
-    precision: tuple[float, ...]
-    recall: tuple[float, ...]
+    threshold: np.ndarray
+    f1: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
 
     @cached_property
     def curve(self) -> tuple[ThresholdResult, ...]:
         """One ThresholdResult per candidate, built on first access."""
-        return tuple(map(ThresholdResult, self.threshold, self.f1, self.precision, self.recall))
+        return tuple(map(ThresholdResult, self.threshold.tolist(), self.f1.tolist(),
+                         self.precision.tolist(), self.recall.tolist()))
 
 
 def split_labeled(scores) -> tuple[list[float], list[float]]:
@@ -473,7 +481,8 @@ def sweep_threshold(scores=(), *, split=None) -> SweepOutcome:
         raise ValueError("need both bot- and human-labeled scores")
     bot_values = np.sort(bots)
     human_values = np.sort(humans)
-    distinct = np.unique(np.concatenate([bot_values, human_values]))
+    values = np.sort(np.concatenate([bot_values, human_values]))
+    distinct = values[np.concatenate([[True], values[1:] != values[:-1]])]
     candidates = np.concatenate([[_sentinel(float(distinct[0]), -1.0)], _midpoints(distinct),
                                  [_sentinel(float(distinct[-1]), 1.0)]])
 
@@ -486,8 +495,10 @@ def sweep_threshold(scores=(), *, split=None) -> SweepOutcome:
                    out=np.zeros(len(candidates)), where=precision + recall > 0)
 
     i = int(np.argmax(f1))
-    columns = [tuple(column.tolist()) for column in (candidates, f1, precision, recall)]
-    return SweepOutcome(ThresholdResult(*(column[i] for column in columns)), *columns)
+    columns = (candidates, f1, precision, recall)
+    for column in columns:
+        column.flags.writeable = False
+    return SweepOutcome(ThresholdResult(*(float(column[i]) for column in columns)), *columns)
 
 
 def recall_at(scores, threshold: float) -> float:
@@ -514,6 +525,15 @@ def _sample_variance(x: np.ndarray) -> float:
     return 0.0 if (x == x[0]).all() else float(x.var(ddof=1))
 
 
+def _floats(sample) -> np.ndarray:
+    """A sample as a float array: a buffer (an array.array, a numpy array) is
+    read in place; any other iterable is listed first."""
+    try:
+        return np.asarray(memoryview(sample), dtype=float)
+    except (TypeError, ValueError):  # no buffer, or one of Python objects
+        return np.asarray(list(sample), dtype=float)
+
+
 def welch_t(sample_a, sample_b) -> WelchResult:
     """Welch's unequal-variance t-test, two-sided.
 
@@ -528,8 +548,7 @@ def welch_t(sample_a, sample_b) -> WelchResult:
     overflow to a non-finite value.
     """
     # Sorted, so the floating-point sums do not depend on the input order.
-    a = np.sort(np.asarray(list(sample_a), dtype=float))
-    b = np.sort(np.asarray(list(sample_b), dtype=float))
+    a, b = np.sort(_floats(sample_a)), np.sort(_floats(sample_b))
     if len(a) < 2 or len(b) < 2:
         raise ValueError("each sample needs at least 2 observations")
     # t and df do not change when both samples are scaled alike. Where the

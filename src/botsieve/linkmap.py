@@ -13,7 +13,8 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .corpus import Corpus, Tweet, _text_lines
+from .corpus import Corpus, Tweet
+from .readers import _text_lines
 from .table import top_k
 
 DEFAULT_SEED_DOMAINS = ("fox8.news", "cryptnomics.org", "globaleconomics.news")
@@ -95,8 +96,9 @@ def expand_by_domains(corpus: Corpus, seeds) -> frozenset[str]:
     table = corpus.table
     domains = _domains_in(table, slice(None))
     linking = _rows_where(table, domains, lambda found: not seed_set.isdisjoint(found))
-    authors = np.unique(table.author[linking])
-    return frozenset(table.account_ids[code] for code in authors.tolist())
+    linked = np.zeros(len(table.account_ids), dtype=bool)
+    linked[table.author[linking]] = True
+    return frozenset(table.account_ids[code] for code in np.flatnonzero(linked).tolist())
 
 
 def domain_frequency(corpus: Corpus, group, k: int) -> list[tuple[str, int]]:

@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import Corpus, _csv_records, _text_lines
+from .corpus import Corpus
+from .readers import _csv_records, _text_lines
 
 # Zero-width / invisible code points stripped before matching.
 _ZERO_WIDTH = dict.fromkeys(map(ord, "​‌‍⁠﻿"))

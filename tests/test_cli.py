@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from botsieve import detectkit, synthnet
+from botsieve import cli, detectkit, synthnet
 from botsieve.cli import DataError, _read_params_file, _read_scores_csv, run
 from botsieve.corpus import _csv_records, export_corpus
 from conftest import account, corpus_of, tweet
@@ -570,6 +570,33 @@ def test_sweep_builds_one_threshold_result_and_writes_the_curve(tmp_path, monkey
     assert (out / "sweep_curve.csv").read_bytes().decode("utf-8") == expected.getvalue()
 
 
+SWEEP_CHUNK = cli._SWEEP_CHUNK
+EDGE_FLOATS = st.sampled_from((sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324,
+                               sys.float_info.min / 3, -0.0, 0.0))
+
+
+@given(n=st.sampled_from((0, 1, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1,
+                          3 * SWEEP_CHUNK + 2)),
+       pool=st.lists(st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS,
+                     min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_chunked_sweep_rows_write_the_bytes_of_the_tuple_rows(n, pool, seed):
+    # Each column draws n values from the pool; the rows the columns made as
+    # tuples of Python floats, through one csv.writer, are the reference.
+    rng = np.random.default_rng(seed)
+    columns = [rng.choice(np.array(pool), n) for _ in range(4)]
+    outcome = detectkit.SweepOutcome(detectkit.ThresholdResult(0.0, 0.0, 0.0, 0.0), *columns)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(cli.SWEEP_COLUMNS)
+    writer.writerows(zip(*(tuple(columns[k].tolist()) for k in (0, 2, 3, 1))))
+    files = {"sweep_curve": ("sweep_curve.csv", (cli.SWEEP_COLUMNS, cli._sweep_rows(outcome)))}
+    with tempfile.TemporaryDirectory() as tmp:
+        cli._write_files(Path(tmp), files, None)
+        assert (Path(tmp) / "sweep_curve.csv").read_bytes() == expected.getvalue().encode()
+
+
 @pytest.mark.parametrize("option,group", [("--bot-group", "nosuch"), ("--bot-group", "bot "),
                                           ("--human-group", "nosuch")])
 def test_report_group_not_in_labels_is_a_data_error(capsys, synth_dir, tmp_path, option, group):
@@ -900,18 +927,26 @@ def test_sweep_and_ttest_load_no_scipy_module(tmp_path):
     assert written["p"] == detectkit.welch_t([60, 55, 58], [40, 48, 45]).p
 
 
-STAGE_MODULES = ("detectkit", "graphlab", "contentstats", "linkmap", "seedscan", "synthnet")
+STAGE_MODULES = tuple(f"botsieve.{name}" for name in (
+    "detectkit", "graphlab", "contentstats", "linkmap", "seedscan", "synthnet"))
 
 
-@pytest.mark.parametrize("commands,unloaded", [(["ingest"], STAGE_MODULES),
-                                               (["sweep", "ttest"], STAGE_MODULES[1:])],
-                         ids=["ingest", "sweep-ttest"])
+# hashlib loads OpenSSL. numpy.ma is imported by numpy 2's np.unique(x) without
+# return_index, return_inverse or return_counts.
+@pytest.mark.parametrize("commands,unloaded", [
+    (["ingest"], STAGE_MODULES),
+    (["sweep", "ttest"], (*STAGE_MODULES[1:], "botsieve.corpus", "hashlib", "numpy.ma")),
+    (["report"], ("numpy.ma",)),
+    (["expand-domains"], ("numpy.ma",)),
+    (["score"], ("hashlib",)),
+], ids=["ingest", "sweep-ttest", "report", "expand-domains", "score-heuristic"])
 def test_a_subcommand_loads_no_other_stage_module(tiny_dir, tmp_path, commands, unloaded):
     scores = ["--scores", str(_labelled_scores(tmp_path))]
-    inputs = {"ingest": ["--corpus-dir", str(tiny_dir)], "sweep": scores, "ttest": scores}
-    runs = [[command, *inputs[command], "--out", str(tmp_path / command)] for command in commands]
-    names = [f"botsieve.{name}" for name in unloaded]
-    loaded = f"[name for name in {names!r} if name in sys.modules]"
+    corpus = ["--corpus-dir", str(tiny_dir)]
+    inputs = {"sweep": scores, "ttest": scores, "score": [*corpus, "--detector", "heuristic"]}
+    runs = [[command, *inputs.get(command, corpus), "--out", str(tmp_path / command)]
+            for command in commands]
+    loaded = f"[name for name in {list(unloaded)!r} if name in sys.modules]"
     assert _run_in_fresh_python(runs, loaded) == f"{[0] * len(runs)} []"
 
 

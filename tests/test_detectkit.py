@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import re
 import sys
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -545,6 +547,51 @@ def test_sweep_curve_equals_direct_counting_with_ties():
 def test_sweep_curve_equals_direct_counting_on_simulated_scores():
     scores = simulate_scores(n_bots=10_000, n_humans=10_000, rng_seed=3)
     assert_sweep_equals_counting(scores)
+
+
+def tuple_sweep(bots, humans):
+    """(best, curve) of sweep_threshold as it was when its columns were tuples
+    of Python floats and np.unique found the distinct values, kept frozen."""
+    bot_values = np.sort(bots)
+    human_values = np.sort(humans)
+    distinct = np.unique(np.concatenate([bot_values, human_values]))
+    candidates = np.concatenate([[dk._sentinel(float(distinct[0]), -1.0)],
+                                 dk._midpoints(distinct),
+                                 [dk._sentinel(float(distinct[-1]), 1.0)]])
+    tp = len(bot_values) - np.searchsorted(bot_values, candidates, side="left")
+    fp = len(human_values) - np.searchsorted(human_values, candidates, side="left")
+    precision = np.divide(tp, tp + fp, out=np.zeros(len(candidates)), where=tp + fp > 0)
+    recall = tp / len(bot_values)
+    f1 = np.divide(2 * precision * recall, precision + recall,
+                   out=np.zeros(len(candidates)), where=precision + recall > 0)
+    i = int(np.argmax(f1))
+    columns = [tuple(column.tolist()) for column in (candidates, f1, precision, recall)]
+    return (dk.ThresholdResult(*(column[i] for column in columns)),
+            tuple(map(dk.ThresholdResult, *columns)))
+
+
+SWEEP_VALUES = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.integers(-3, 3).map(float)
+                | st.sampled_from((sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324,
+                                   sys.float_info.min / 3, -0.0, 0.0)))
+
+
+@given(bots=st.lists(SWEEP_VALUES, min_size=1, max_size=30),
+       humans=st.lists(SWEEP_VALUES, min_size=1, max_size=30))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_sweep_columns_are_read_only_float64_and_equal_the_tuple_sweep(bots, humans):
+    best, curve = tuple_sweep(bots, humans)
+    scores = [(v, "bot") for v in bots] + [(v, "human") for v in humans]
+    for outcome in (dk.sweep_threshold(scores),
+                    dk.sweep_threshold(split=(array("d", bots), array("d", humans)))):
+        for column in (outcome.threshold, outcome.f1, outcome.precision, outcome.recall):
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert len(column) == len(curve) and not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        assert all(type(value) is float for value in dataclasses.astuple(outcome.best))
+        assert repr(outcome.best) == repr(best)
+        assert repr(outcome.curve) == repr(curve)
 
 
 # ---------------------------------------------------------------------------
